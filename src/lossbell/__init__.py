@@ -6,11 +6,9 @@ an independent numerical cross-check of every closed form.
 """
 
 from .bell import (
-    BoundPair,
     MeasurementSetting,
     WeightedStabilizerSum,
     bell_stabilizer_sum,
-    bounds,
     classical_bound,
     generic_bell_operator,
     quantum_bound,
@@ -33,15 +31,13 @@ from .loss import (
     WTSets,
     critical_sets,
     expectation_after_loss,
+    generator_expectation,
     induced_operator_expectation,
-    induced_stabilizer_on_full_state,
-    induced_stabilizer_on_lossy_state,
     loss_size_sweep,
     max_tolerable_loss,
     mixture_expectation,
     root_loss_check,
     single_loss_mixture_curve,
-    stabilizer_expectation_after_loss,
     violation_report,
     wt_sets,
 )
@@ -52,10 +48,9 @@ from .oracle import (
     replacement_invariance,
 )
 from .pauli import PauliString, stabilizer
-from .quad import SQRT2, Quad, compare
+from .quad import SQRT2, Quad
 
 __all__ = [
-    "BoundPair",
     "BudgetExceededError",
     "DegenerateGraphError",
     "DistributionError",
@@ -78,18 +73,15 @@ __all__ = [
     "WeightedStabilizerSum",
     "basis_block_weights",
     "bell_stabilizer_sum",
-    "bounds",
     "classical_bound",
-    "compare",
     "critical_sets",
     "expectation_after_loss",
     "family_prediction",
     "generate",
+    "generator_expectation",
     "generic_bell_operator",
     "graph_state",
     "induced_operator_expectation",
-    "induced_stabilizer_on_full_state",
-    "induced_stabilizer_on_lossy_state",
     "leaf_groups",
     "loss_size_sweep",
     "max_tolerable_loss",
@@ -100,7 +92,6 @@ __all__ = [
     "root_loss_check",
     "single_loss_mixture_curve",
     "stabilizer",
-    "stabilizer_expectation_after_loss",
     "violation_report",
     "wt_sets",
 ]

@@ -45,16 +45,6 @@ def quantum_bound(g: Graph) -> Quad:
 
 
 @dataclass(frozen=True)
-class BoundPair:
-    classical: Quad
-    quantum: Quad
-
-
-def bounds(g: Graph) -> BoundPair:
-    return BoundPair(classical_bound(g), quantum_bound(g))
-
-
-@dataclass(frozen=True)
 class WeightedStabilizerSum:
     """Bell operator as sum(coeff_i * S_i) over all vertex generators.
 

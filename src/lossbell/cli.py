@@ -261,14 +261,12 @@ def _verify_graph(g: Graph, max_loss: int, max_sets: int, tol: float):
         sub, mapping = g.induced_subgraph(survivors)
         # per-generator expectations, both graphs
         for i in range(g.n):
-            want = loss_mod.stabilizer_expectation_after_loss(g, i, lost, "full")
+            want = loss_mod.generator_expectation(g, i, frozenset(), lost)
             got = lossy.pauli_expectation(stabilizer(g, i))
             worst = max(worst, abs(want - got))
             checks += 1
             if i not in lost:
-                want = loss_mod.stabilizer_expectation_after_loss(
-                    g, i, lost, "induced"
-                )
+                want = loss_mod.generator_expectation(g, i, lost, lost)
                 got = lossy.pauli_expectation(
                     stabilizer(sub, mapping[i]).embed(survivors, g.n)
                 )
@@ -374,6 +372,8 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
                 "no pendant neighbor of the root; pass --hypothesis explicitly"
             )
         hypothesis = frozenset({min(pendants)})
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     # grid runs from 0 up to but excluding p_max
     grid = [Fraction(args.p_max) * j / args.grid_points for j in range(args.grid_points)]
     curve = loss_mod.single_loss_mixture_curve(g, root, candidates, hypothesis, grid)
@@ -508,7 +508,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, SizeCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphFormatError, DistributionError, ValueError, OSError) as exc:
+    except (
+        GraphFormatError, DistributionError, ValueError, IndexError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

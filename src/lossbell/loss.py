@@ -46,25 +46,46 @@ def _require_root(g: Graph, r: int) -> None:
         )
 
 
-def _union_closed(g: Graph, loss: frozenset[int]) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for l in loss:
-        out |= g.closed_neighborhood(l)
-    return out
-
-
-def _union_open(g: Graph, loss: frozenset[int]) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for l in loss:
-        out |= g.neighborhood(l)
-    return out
-
-
 @dataclass(frozen=True)
 class WTSets:
     w: frozenset[int]
     t: frozenset[int]
     root_hit: bool
+
+
+def _dead(
+    g: Graph, hypothesis: frozenset[int], actual: frozenset[int]
+) -> set[int]:
+    """Vertices whose generator of the subgraph surviving ``hypothesis`` has
+    expectation 0 on the state that actually lost ``actual``: those actually
+    lost and every neighbor of a vertex of either set.  Every other
+    surviving generator keeps expectation 1.  Both sets must be validated by
+    the caller.
+    """
+    dead = set(actual)
+    for v in hypothesis | actual:
+        dead |= g.neighborhood(v)
+    return dead
+
+
+def _counting_sets(
+    g: Graph, r: int, hypothesis: frozenset[int], actual: frozenset[int]
+) -> WTSets:
+    """Counting sets of the operator of the subgraph surviving ``hypothesis``,
+    anchored at r, on the state that actually lost ``actual``.
+
+    W and T are r's surviving neighbors and non-neighbors whose generators
+    are not dead, and root_hit says whether r's own generator is.
+    """
+    dead = _dead(g, hypothesis, actual)
+    alive = g.vertices - hypothesis - dead
+    nr = g.neighborhood(r)
+    return WTSets(alive & nr, alive - nr - {r}, r in dead)
+
+
+def _bell_value(sets: WTSets, anchor_weight: int) -> Quad:
+    """|T| + sqrt(2)*(|W| + anchor_weight), the anchor term only if it survives."""
+    return Quad(len(sets.t), len(sets.w) + (0 if sets.root_hit else anchor_weight))
 
 
 def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
@@ -75,12 +96,7 @@ def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
     root_hit: whether the loss touches r's closed neighborhood.
     """
     _require_root(g, r)
-    loss = _validate_loss(g, loss)
-    blocked = _union_closed(g, loss)
-    w = g.neighborhood(r) - blocked
-    t = g.vertices - blocked - g.closed_neighborhood(r)
-    root_hit = not g.closed_neighborhood(r).isdisjoint(loss)
-    return WTSets(w, t, root_hit)
+    return _counting_sets(g, r, frozenset(), _validate_loss(g, loss))
 
 
 def expectation_after_loss(g: Graph, r: int, loss: frozenset[int]) -> Quad:
@@ -92,70 +108,30 @@ def expectation_after_loss(g: Graph, r: int, loss: frozenset[int]) -> Quad:
     surviving subgraph; for r in the loss set it applies to the full-graph
     operator only.
     """
-    sets = wt_sets(g, r, loss)
-    if sets.root_hit:
-        return Quad(len(sets.t), len(sets.w))
-    return Quad(len(sets.t), g.n_max + len(sets.w))
+    return _bell_value(wt_sets(g, r, loss), g.n_max)
 
 
-def stabilizer_expectation_after_loss(
-    g: Graph, i: int, loss: frozenset[int], which: str = "full"
-) -> int:
-    """Post-loss expectation (exactly 0 or 1) of a single vertex generator.
-
-    ``which="full"`` evaluates the original graph's generator: it vanishes
-    iff i lies in some lost vertex's closed neighborhood.  ``which="induced"``
-    evaluates the surviving subgraph's generator (i must survive): it
-    vanishes iff i is adjacent to a lost vertex.
-    """
-    loss = _validate_loss(g, loss)
-    if not 0 <= i < g.n:
-        raise IndexError(f"vertex {i} out of range")
-    if which == "full":
-        return 0 if i in _union_closed(g, loss) else 1
-    if which == "induced":
-        if i in loss:
-            raise ValueError(
-                f"vertex {i} is lost; the surviving subgraph has no generator for it"
-            )
-        return 0 if i in _union_open(g, loss) else 1
-    raise ValueError(f'which must be "full" or "induced", got {which!r}')
-
-
-def induced_stabilizer_on_full_state(
-    g: Graph, i: int, loss: frozenset[int]
-) -> int:
-    """Expectation of a surviving-subgraph generator on the intact pure state.
-
-    Zero iff i has a neighbor in the (hypothesized) loss set, one otherwise.
-    """
-    loss = _validate_loss(g, loss)
-    if i in loss:
-        raise ValueError(f"vertex {i} is in the loss set")
-    if not 0 <= i < g.n:
-        raise IndexError(f"vertex {i} out of range")
-    return 0 if i in _union_open(g, loss) else 1
-
-
-def induced_stabilizer_on_lossy_state(
+def generator_expectation(
     g: Graph, i: int, hypothesis: frozenset[int], actual: frozenset[int]
 ) -> int:
-    """Generator of the subgraph surviving ``hypothesis``, evaluated on the
-    state that actually lost ``actual``.
+    """Expectation (exactly 0 or 1) of vertex i's generator of the subgraph
+    surviving ``hypothesis``, on the state that actually lost ``actual``.
 
-    Zero iff i itself was actually lost or i neighbors any vertex of either
-    set; reduces to the two cases above when actual equals the hypothesis or
-    is empty.
+    Zero iff i was actually lost or neighbors a vertex of either set.  An
+    empty hypothesis gives the original graph's generator; ``hypothesis ==
+    actual`` gives the surviving subgraph's generator on the post-loss state;
+    an empty ``actual`` gives it on the intact state.
     """
     hypothesis = _validate_loss(g, hypothesis)
     actual = _validate_loss(g, actual)
     if i in hypothesis:
-        raise ValueError(f"vertex {i} is in the hypothesized loss set")
+        raise ValueError(
+            f"vertex {i} is in the hypothesized loss set; "
+            "the surviving subgraph has no generator for it"
+        )
     if not 0 <= i < g.n:
         raise IndexError(f"vertex {i} out of range")
-    if i in actual:
-        return 0
-    return 0 if i in _union_open(g, hypothesis | actual) else 1
+    return 0 if i in _dead(g, hypothesis, actual) else 1
 
 
 def induced_operator_expectation(
@@ -170,23 +146,11 @@ def induced_operator_expectation(
     hypothesis = _validate_loss(g, hypothesis)
     if r in hypothesis:
         raise ValueError("anchor vertex is in the hypothesized loss set")
-    sub, mapping = g.induced_subgraph(g.vertices - hypothesis)
+    sub, _ = g.induced_subgraph(g.vertices - hypothesis)
     if sub.n_max == 0:
         raise DegenerateGraphError("surviving subgraph has no edges")
-    inverse = {new: old for old, new in mapping.items()}
-    nr = sub.neighborhood(mapping[r])
-    total = Quad(0)
-    for new in range(sub.n):
-        value = induced_stabilizer_on_lossy_state(g, inverse[new], hypothesis, actual)
-        if not value:
-            continue
-        if new == mapping[r]:
-            total = total + Quad(0, sub.n_max)
-        elif new in nr:
-            total = total + Quad(0, 1)
-        else:
-            total = total + Quad(1)
-    return total
+    actual = _validate_loss(g, actual)
+    return _bell_value(_counting_sets(g, r, hypothesis, actual), sub.n_max)
 
 
 # -- violation reports -------------------------------------------------------
@@ -275,8 +239,7 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
     subgraph's own bound (undefined when that subgraph has no edges, which
     counts as no violation).  If every maximum-degree vertex is lost, the
     report instead anchors at the surviving subgraph's own maximum-degree
-    vertices, whose expectations are computed generator by generator; those
-    records carry scope "induced-only".
+    vertices; those records carry scope "induced-only".
     """
     loss = _validate_loss(g, loss)
     full_bound = classical_bound(g)
@@ -288,7 +251,7 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
     if surviving_roots:
         for r in surviving_roots:
             sets = wt_sets(g, r, loss)
-            value = expectation_after_loss(g, r, loss)
+            value = _bell_value(sets, g.n_max)
             records.append(
                 RootRecord(
                     root=r,
@@ -306,13 +269,11 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
                 )
             )
     elif induced_bound is not None:
-        inverse = {new: old for old, new in mapping.items()}
-        for new_root in sorted(sub.roots):
-            old = inverse[new_root]
-            value = induced_operator_expectation(g, old, loss, loss)
+        for r in sorted(old for old, new in mapping.items() if new in sub.roots):
+            value = induced_operator_expectation(g, r, loss, loss)
             records.append(
                 RootRecord(
-                    root=old,
+                    root=r,
                     scope="induced-only",
                     expectation=value,
                     violates_full=None,
@@ -463,6 +424,8 @@ def loss_size_sweep(
     candidates = frozenset(candidates)
     if not candidates <= g.vertices:
         raise ValueError("candidates contain out-of-range vertices")
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be at least 0, got {max_size}")
     cand = sorted(candidates)
     limit = len(cand) if len(cand) < g.n else g.n - 1  # loss must be proper
     if max_size is not None:
@@ -612,8 +575,7 @@ def mixture_expectation(
     With ``hypothesis=None`` the full-graph operator anchored at ``root`` is
     evaluated (realizations containing the root use its full-graph-only
     value).  Otherwise the operator belongs to the subgraph surviving the
-    hypothesized loss and each realization is evaluated generator by
-    generator.
+    hypothesized loss.
     """
     total = Quad(0)
     if hypothesis is None:

@@ -162,8 +162,3 @@ class Quad:
 
 
 SQRT2 = Quad(0, 1)
-
-
-def compare(x: Quad, y: Quad) -> int:
-    """Exact three-way comparison: -1, 0 or +1 as x is below, equal, above y."""
-    return (x - y).sign()

@@ -29,9 +29,9 @@ from lossbell import (
     basis_block_weights,
     expectation_after_loss,
     generate,
+    generator_expectation,
     generic_bell_operator,
     graph_state,
-    induced_stabilizer_on_full_state,
     max_tolerable_loss,
     mixture_expectation,
     quantum_bound,
@@ -39,7 +39,6 @@ from lossbell import (
     root_loss_check,
     single_loss_mixture_curve,
     stabilizer,
-    stabilizer_expectation_after_loss,
     violation_report,
 )
 from lossbell.bell import stabilizer_sum_matrix
@@ -116,14 +115,14 @@ def sweep() -> SweepResults:
 
             # per-generator expectations: lossy state, both graphs
             for i in range(g.n):
-                want = stabilizer_expectation_after_loss(g, i, lost, "full")
+                want = generator_expectation(g, i, frozenset(), lost)
                 got = lossy.pauli_expectation(stabilizer(g, i))
                 results.generator_max_dev = max(
                     results.generator_max_dev, abs(want - got)
                 )
                 results.generator_checks += 1
             for i in survivors:
-                want = stabilizer_expectation_after_loss(g, i, lost, "induced")
+                want = generator_expectation(g, i, lost, lost)
                 got = lossy.pauli_expectation(induced_gens[i])
                 results.generator_max_dev = max(
                     results.generator_max_dev, abs(want - got)
@@ -134,7 +133,7 @@ def sweep() -> SweepResults:
             if lost:
                 intact = LossyState(g, frozenset())
                 for i in survivors:
-                    want = induced_stabilizer_on_full_state(g, i, lost)
+                    want = generator_expectation(g, i, lost, frozenset())
                     got = intact.pauli_expectation(induced_gens[i])
                     results.generator_max_dev = max(
                         results.generator_max_dev, abs(want - got)

@@ -16,7 +16,6 @@ from lossbell import (
     Quad,
     SQRT2,
     bell_stabilizer_sum,
-    bounds,
     classical_bound,
     generate,
     generic_bell_operator,
@@ -46,9 +45,9 @@ class TestBounds:
 
     @given(connected_graphs())
     def test_pair_gap(self, g):
-        pair = bounds(g)
-        assert pair.quantum > pair.classical
-        assert pair.quantum - pair.classical == Quad(-2 * g.n_max, 2 * g.n_max)
+        quantum, classical = quantum_bound(g), classical_bound(g)
+        assert quantum > classical
+        assert quantum - classical == Quad(-2 * g.n_max, 2 * g.n_max)
 
 
 class TestStabilizerSum:

@@ -14,6 +14,12 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def assert_usage_error(code: int, out: str, err: str) -> None:
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestFamily:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "family", "list")
@@ -86,6 +92,12 @@ class TestAnalyze:
         assert code == 1
         assert "n=<N>" in err
 
+    def test_out_of_range_hub(self, capsys):
+        assert_usage_error(*run(
+            capsys, "analyze", "--family", "star", "--n", "6",
+            "--lose-leaves-of-root", "99",
+        ))
+
     def test_table_matches_structured_decimals(self, capsys):
         args = ("analyze", "--family", "dense-center", "--n", "12", "--lose", "7,8")
         _, table, _ = run(capsys, *args)
@@ -138,6 +150,11 @@ class TestSweep:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_negative_max_size(self, capsys):
+        assert_usage_error(*run(
+            capsys, "sweep", "--family", "star", "--n", "6", "--max-size", "-1"
+        ))
 
     def test_byte_identical_reruns(self, capsys):
         args = (
@@ -228,6 +245,25 @@ class TestMixture:
         assert all(p["full_margin"]["approx"] > 0 for p in points)
         assert summary["crossover_in_unit_interval"] is False
         assert summary["crossover"]["a"] == "6"
+
+    def test_out_of_range_root(self, capsys):
+        assert_usage_error(*run(
+            capsys, "mixture", "--family", "star", "--n", "6", "--root", "99"
+        ))
+
+    def test_out_of_range_survivor_anchor(self, capsys, tmp_path):
+        path = tmp_path / "dist.txt"
+        path.write_text("1 :\n")
+        assert_usage_error(*run(
+            capsys, "mixture", "--family", "dense-center", "--n", "12",
+            "--dist", str(path), "--hypothesis", "6", "--root", "99",
+        ))
+
+    def test_empty_grid(self, capsys):
+        assert_usage_error(*run(
+            capsys, "mixture", "--family", "dense-center", "--n", "12",
+            "--leaves-only", "--grid-points", "0",
+        ))
 
 
 class TestDistributionParser:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import connected_graphs
 from lossbell import (
     BudgetExceededError,
+    DegenerateGraphError,
     DistributionError,
     Graph,
     LossDistribution,
@@ -17,16 +18,14 @@ from lossbell import (
     bell_stabilizer_sum,
     critical_sets,
     expectation_after_loss,
+    generator_expectation,
     induced_operator_expectation,
-    induced_stabilizer_on_full_state,
-    induced_stabilizer_on_lossy_state,
     loss_size_sweep,
     max_tolerable_loss,
     mixture_expectation,
     quantum_bound,
     root_loss_check,
     single_loss_mixture_curve,
-    stabilizer_expectation_after_loss,
     violation_report,
     wt_sets,
 )
@@ -87,17 +86,39 @@ class TestExpectationAfterLoss:
     @settings(max_examples=40)
     @given(connected_graphs(min_n=2, max_n=8), st.data())
     def test_generator_reconstruction(self, g, data):
-        # coefficient-weighted sum of 0/1 generator expectations, exactly
+        # coefficient-weighted sum of 0/1 generator expectations, exactly;
+        # the generator-by-generator sum is the reference for both closed forms
         lost = frozenset(
             data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n - 1))
         )
         for r in sorted(g.roots):
             total = Quad(0)
             for vertex, coeff, _ in bell_stabilizer_sum(g, r).terms:
-                total = total + coeff * stabilizer_expectation_after_loss(
-                    g, vertex, lost, "full"
+                total = total + coeff * generator_expectation(
+                    g, vertex, frozenset(), lost
                 )
             assert total == expectation_after_loss(g, r, lost)
+
+        hyp = frozenset(
+            data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n - 1))
+        )
+        actual = frozenset(
+            data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n - 1))
+        )
+        sub, mapping = g.induced_subgraph(g.vertices - hyp)
+        if sub.n_max == 0:
+            with pytest.raises(DegenerateGraphError):
+                induced_operator_expectation(g, min(mapping), hyp, actual)
+            return
+        inverse = {new: old for old, new in mapping.items()}
+        for r in sorted(mapping):
+            op = bell_stabilizer_sum(sub, mapping[r], allow_non_root=True)
+            total = Quad(0)
+            for vertex, coeff, _ in op.terms:
+                total = total + coeff * generator_expectation(
+                    g, inverse[vertex], hyp, actual
+                )
+            assert total == induced_operator_expectation(g, r, hyp, actual)
 
     @settings(max_examples=40)
     @given(connected_graphs(min_n=2, max_n=8), st.data())
@@ -117,37 +138,25 @@ class TestExpectationAfterLoss:
 class TestGeneratorExpectations:
     def test_full_graph_cases(self, star4):
         lost = frozenset({3})
-        assert stabilizer_expectation_after_loss(star4, 0, lost, "full") == 0
-        assert stabilizer_expectation_after_loss(star4, 1, lost, "full") == 1
-        assert stabilizer_expectation_after_loss(star4, 3, lost, "full") == 0
+        assert generator_expectation(star4, 0, frozenset(), lost) == 0
+        assert generator_expectation(star4, 1, frozenset(), lost) == 1
+        assert generator_expectation(star4, 3, frozenset(), lost) == 0
 
     def test_induced_cases(self, star4):
         lost = frozenset({3})
-        assert stabilizer_expectation_after_loss(star4, 1, lost, "induced") == 1
-        assert stabilizer_expectation_after_loss(star4, 0, lost, "induced") == 0
+        assert generator_expectation(star4, 1, lost, lost) == 1
+        assert generator_expectation(star4, 0, lost, lost) == 0
         with pytest.raises(ValueError):
-            stabilizer_expectation_after_loss(star4, 3, lost, "induced")
+            generator_expectation(star4, 3, lost, lost)
 
     def test_survivor_generator_on_intact_state(self, dense12):
-        assert induced_stabilizer_on_full_state(dense12, 0, frozenset({6})) == 0
+        assert generator_expectation(dense12, 0, frozenset({6}), frozenset()) == 0
         path3 = Graph(3, [(0, 1), (1, 2)])
-        assert induced_stabilizer_on_full_state(path3, 0, frozenset({2})) == 1
+        assert generator_expectation(path3, 0, frozenset({2}), frozenset()) == 1
 
     def test_no_loss_all_one(self, ring6):
         for i in range(6):
-            assert induced_stabilizer_on_full_state(ring6, i, frozenset()) == 1
-
-    def test_generalized_rule_reduces_to_both_cases(self, dense12):
-        hyp = frozenset({6})
-        for i in range(12):
-            if i in hyp:
-                continue
-            assert induced_stabilizer_on_lossy_state(
-                dense12, i, hyp, frozenset()
-            ) == induced_stabilizer_on_full_state(dense12, i, hyp)
-            assert induced_stabilizer_on_lossy_state(
-                dense12, i, hyp, hyp
-            ) == stabilizer_expectation_after_loss(dense12, i, hyp, "induced")
+            assert generator_expectation(ring6, i, frozenset(), frozenset()) == 1
 
 
 class TestViolationReport:
@@ -414,7 +423,7 @@ class TestHypothesisOperatorAgainstOracle:
         sub, mapping = g.induced_subgraph(survivors)
         lossy = LossyState(g, actual)
         for i in survivors:
-            want = induced_stabilizer_on_lossy_state(g, i, hyp, actual)
+            want = generator_expectation(g, i, hyp, actual)
             got = lossy.pauli_expectation(
                 stabilizer(sub, mapping[i]).embed(survivors, g.n)
             )

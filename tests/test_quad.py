@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from conftest import quads
-from lossbell import Quad, SQRT2, compare
+from lossbell import Quad, SQRT2
 
 
 def _decimal_value(q: Quad, prec: int = 60) -> Decimal:
@@ -55,10 +55,10 @@ class TestArithmetic:
 class TestOrdering:
     def test_known_comparisons(self):
         # 9^2 * 2 = 162 beats 12^2 = 144, so 2 + 9*sqrt2 > 14
-        assert compare(Quad(2, 9), Quad(14)) == 1
+        assert (Quad(2, 9) - Quad(14)).sign() == 1
         # 8^2 * 2 = 128 loses to 12^2 = 144, so 1 + 8*sqrt2 < 13
-        assert compare(Quad(1, 8), Quad(13)) == -1
-        assert compare(Quad(3, -7), Quad(3, -7)) == 0
+        assert (Quad(1, 8) - Quad(13)).sign() == -1
+        assert (Quad(3, -7) - Quad(3, -7)).sign() == 0
 
     def test_sign(self):
         assert Quad(0, 0).sign() == 0
@@ -80,11 +80,11 @@ class TestOrdering:
             )
             gap = float(x) - float(y)
             if abs(gap) > 1e-9:
-                assert compare(x, y) == (1 if gap > 0 else -1)
+                assert (x - y).sign() == (1 if gap > 0 else -1)
 
     @given(quads(), quads(), quads())
     def test_antisymmetry_and_transitivity(self, x, y, z):
-        assert compare(x, y) == -compare(y, x)
+        assert (x - y).sign() == -(y - x).sign()
         if x <= y and y <= z:
             assert x <= z
 
