@@ -45,7 +45,6 @@ from .oracle import (
     LossyState,
     basis_block_weights,
     graph_state,
-    replacement_invariance,
 )
 from .pauli import PauliString, stabilizer
 from .quad import SQRT2, Quad
@@ -88,7 +87,6 @@ __all__ = [
     "mixture_expectation",
     "quantum_bound",
     "random_connected_graph",
-    "replacement_invariance",
     "root_loss_check",
     "single_loss_mixture_curve",
     "stabilizer",

@@ -64,9 +64,6 @@ class WeightedStabilizerSum:
             total = total + coeff
         return total
 
-    def __iter__(self):
-        return iter(self.terms)
-
 
 def bell_stabilizer_sum(
     g: Graph, r: int, *, allow_non_root: bool = False

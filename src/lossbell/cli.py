@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import loss as loss_mod
 from . import oracle
-from .bell import bell_stabilizer_sum
 from .errors import (
     BudgetExceededError,
     DistributionError,
@@ -32,6 +31,7 @@ from .errors import (
 from .families import KINDS, FamilySpec, generate
 from .graphs import Graph, random_connected_graph
 from .quad import Quad
+from .verify import VerifyResult, check_graph, loss_set_count, loss_sets
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
@@ -234,80 +234,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _iter_loss_sets(n: int, max_loss: int, cap: int):
-    from itertools import combinations
-
-    count = 0
-    for k in range(0, max_loss + 1):
-        if k >= n:
-            return
-        for combo in combinations(range(n), k):
-            yield frozenset(combo)
-            count += 1
-            if count >= cap:
-                return
-
-
-def _verify_graph(g: Graph, max_loss: int, max_sets: int, tol: float):
-    """Closed form vs oracle on one graph; returns (checks, max deviation)."""
-    from .pauli import stabilizer
-
-    checks = 0
-    worst = 0.0
-    full_ops = {r: bell_stabilizer_sum(g, r) for r in sorted(g.roots)}
-    for lost in _iter_loss_sets(g.n, max_loss, max_sets):
-        lossy = oracle.LossyState(g, lost)
-        survivors = tuple(sorted(g.vertices - lost))
-        sub, mapping = g.induced_subgraph(survivors)
-        # per-generator expectations, both graphs
-        for i in range(g.n):
-            want = loss_mod.generator_expectation(g, i, frozenset(), lost)
-            got = lossy.pauli_expectation(stabilizer(g, i))
-            worst = max(worst, abs(want - got))
-            checks += 1
-            if i not in lost:
-                want = loss_mod.generator_expectation(g, i, lost, lost)
-                got = lossy.pauli_expectation(
-                    stabilizer(sub, mapping[i]).embed(survivors, g.n)
-                )
-                worst = max(worst, abs(want - got))
-                checks += 1
-        # Bell level, both operators, every surviving anchor
-        for r in sorted(g.roots - lost):
-            want_value = float(loss_mod.expectation_after_loss(g, r, lost))
-            got_full = lossy.bell_expectation(full_ops[r])
-            worst = max(worst, abs(want_value - got_full))
-            checks += 1
-            if sub.n_max > 0:  # survivor operator is degenerate otherwise
-                sub_op = bell_stabilizer_sum(sub, mapping[r], allow_non_root=True)
-                got_sub = lossy.bell_expectation(sub_op, positions=survivors)
-                worst = max(worst, abs(want_value - got_sub))
-                checks += 1
-    return checks, worst
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = oracle.EXPECTATION_TOL
-    checks = 0
-    worst = 0.0
     rng = random.Random(args.seed)
-    if args.replacement_invariance:
-        n = args.n or 8
-        for _ in range(args.random or 20):
-            g = random_connected_graph(n, rng)
-            for lost in _iter_loss_sets(g.n, args.max_loss, args.max_sets):
-                if not lost:
-                    continue
-                for r in sorted(g.roots):
-                    ok = oracle.replacement_invariance(
-                        g, lost, bell_stabilizer_sum(g, r), tol=tol
-                    )
-                    checks += 1
-                    if not ok:
-                        worst = max(worst, tol * 10)
-        print(f"replacement invariance: {checks} checks, all conventions agree: "
-              f"{worst <= tol}")
-        return EXIT_OK if worst <= tol else EXIT_VERIFY
     graphs: list[Graph] = []
     if args.random:
         if not args.n:
@@ -318,17 +246,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not graphs:
         raise GraphFormatError("verify needs --random/--n, --family or --file")
     max_loss = args.loss_size if args.loss_size is not None else args.max_loss
+    identities = ("replacement",) if args.replacement_invariance else (
+        "generator/full", "generator/survivor", "bell/full", "bell/survivor")
+    result = VerifyResult()
     for g in graphs:
         if g.n > args.cap:
             raise SizeCapExceededError(f"n={g.n} exceeds oracle cap {args.cap}")
-        c, w = _verify_graph(g, max_loss, args.max_sets, tol)
-        checks += c
-        worst = max(worst, w)
-    passed = worst <= tol
-    print(
-        f"verified {checks} identities over {len(graphs)} graph(s); "
-        f"max deviation {worst:.3e}; {'PASS' if passed else 'FAIL'}"
-    )
+        check_graph(g, loss_sets(g.n, max_loss, args.max_sets), identities, result)
+    tally = result.replacement if args.replacement_invariance else max(
+        result.generator, result.bell, key=lambda t: t.worst)
+    passed = tally.worst <= oracle.EXPECTATION_TOL
+    if args.replacement_invariance:
+        print(f"replacement invariance: {tally.checks} checks, all conventions agree: "
+              f"{passed}; max spread {tally.worst:.3e}")
+    else:
+        print(
+            f"verified {result.generator.checks + result.bell.checks} identities "
+            f"over {len(graphs)} graph(s); max deviation {tally.worst:.3e}; "
+            f"{'PASS' if passed else 'FAIL'}"
+        )
+    total_sets = sum(loss_set_count(g.n, max_loss) for g in graphs)
+    print(f"checked {result.loss_sets} of {total_sets} loss sets")
+    if tally.where is not None:
+        kind, fingerprint, loss, vertex = tally.where
+        print(f"worst at {kind}: graph {fingerprint}, loss {list(loss)}, vertex {vertex}")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -360,6 +301,7 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # parametric single-loss model over a p grid
+    loss_mod._require_root(g, root)
     candidates = tuple(sorted(_resolve_candidates(args, g) - {root}))
     if not candidates:
         raise DistributionError("no loss candidates for the single-loss model")
@@ -468,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, help="number of random connected graphs")
     p.add_argument("--max-loss", type=int, default=2)
     p.add_argument("--loss-size", type=int, default=None,
-                   help="like --max-loss (family/file verification)")
+                   help="overrides --max-loss")
     p.add_argument("--max-sets", type=int, default=500,
                    help="cap on loss sets per graph")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

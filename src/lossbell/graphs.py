@@ -17,8 +17,6 @@ from collections.abc import Iterable
 
 from .errors import GraphFormatError
 
-VertexSet = frozenset  # vertex sets are frozensets of ints throughout
-
 
 class Graph:
     __slots__ = ("_n", "_edges", "_adj", "_n_max", "_roots", "_fingerprint")

@@ -584,12 +584,15 @@ def mixture_expectation(
             total = total + expectation_after_loss(g, root, realization) * prob
     else:
         hypothesis = _validate_loss(g, hypothesis)
+        if root in hypothesis:
+            raise ValueError("anchor vertex is in the hypothesized loss set")
+        survivors = g.vertices - hypothesis
+        n_max = max(len(g.neighborhood(v) & survivors) for v in survivors)
+        if n_max == 0:
+            raise DegenerateGraphError("surviving subgraph has no edges")
         for prob, realization in dist.entries:
-            total = (
-                total
-                + induced_operator_expectation(g, root, hypothesis, realization)
-                * prob
-            )
+            sets = _counting_sets(g, root, hypothesis, _validate_loss(g, realization))
+            total = total + _bell_value(sets, n_max) * prob
     return total
 
 

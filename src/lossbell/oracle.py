@@ -199,22 +199,6 @@ def dense_expectation(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.trace(rho @ op).real)
 
 
-def replacement_invariance(
-    g: Graph,
-    loss: frozenset[int],
-    op: WeightedStabilizerSum,
-    positions: tuple[int, ...] | None = None,
-    tol: float = EXPECTATION_TOL,
-) -> bool:
-    """True iff |0>, |1> and maximally-mixed replacements agree on <op>."""
-    lossy = LossyState(g, loss)
-    values = [
-        lossy.bell_expectation(op, positions, replacement=rep)
-        for rep in REPLACEMENTS
-    ]
-    return max(values) - min(values) <= tol
-
-
 def basis_block_weights(state: np.ndarray, sites: frozenset[int]) -> np.ndarray:
     """Norms of the amplitude blocks for each assignment of the given sites.
 

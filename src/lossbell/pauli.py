@@ -1,10 +1,9 @@
 """Pauli strings in the symplectic (x-bit, z-bit) representation.
 
 Site k of an n-site string carries one of I, X, Y, Z encoded by bit k of two
-integer masks, so commutation checks and site restriction are cheap bit
-arithmetic even inside large sweeps.  A global phase ``i**phase_pow`` is
-tracked through multiplication; strings derived from graphs are always real
-with sign +1.
+integer masks, so products and embeddings are cheap bit arithmetic even
+inside large sweeps.  A global phase ``i**phase_pow`` is tracked through
+multiplication; strings derived from graphs are always real with sign +1.
 
 String rendering and ``from_letters`` read site 0 as the leftmost letter.
 """
@@ -39,10 +38,6 @@ class PauliString:
         self._x = x_bits
         self._z = z_bits
         self._phase = phase_pow % 4
-
-    @classmethod
-    def identity(cls, n: int) -> PauliString:
-        return cls(n)
 
     @classmethod
     def from_letters(cls, letters: str) -> PauliString:
@@ -85,11 +80,6 @@ class PauliString:
             raise ValueError("string has an imaginary phase, no real sign")
         return 1 if self._phase == 0 else -1
 
-    @property
-    def support(self) -> frozenset[int]:
-        mask = self._x | self._z
-        return frozenset(k for k in range(self._n) if (mask >> k) & 1)
-
     def letter(self, k: int) -> str:
         if not 0 <= k < self._n:
             raise IndexError(f"site {k} out of range")
@@ -100,12 +90,6 @@ class PauliString:
         return "".join(self.letter(k) for k in range(self._n))
 
     # -- algebra --------------------------------------------------------------
-
-    def commutes(self, other: PauliString) -> bool:
-        if self._n != other._n:
-            raise ValueError("length mismatch")
-        anti = (self._x & other._z).bit_count() + (self._z & other._x).bit_count()
-        return anti % 2 == 0
 
     def __mul__(self, other: PauliString) -> PauliString:
         if not isinstance(other, PauliString):
@@ -127,25 +111,6 @@ class PauliString:
         return PauliString(self._n, x, z, phase % 4)
 
     # -- site surgery -----------------------------------------------------------
-
-    def restrict(self, drop: frozenset[int]) -> tuple[PauliString, dict[int, str]]:
-        """Drop the given sites, returning the shorter string and a record of
-        the letters that sat on them (needed to decide lossy expectations)."""
-        drop = frozenset(drop)
-        if not drop <= frozenset(range(self._n)):
-            raise ValueError("drop set contains out-of-range sites")
-        if len(drop) >= self._n:
-            raise ValueError("cannot drop every site")
-        x = z = 0
-        new = 0
-        for old in range(self._n):
-            if old in drop:
-                continue
-            x |= ((self._x >> old) & 1) << new
-            z |= ((self._z >> old) & 1) << new
-            new += 1
-        dropped = {k: self.letter(k) for k in sorted(drop)}
-        return PauliString(self._n - len(drop), x, z, self._phase), dropped
 
     def embed(self, positions: tuple[int, ...], n_full: int) -> PauliString:
         """Place site k of this string at ``positions[k]`` of a larger register."""

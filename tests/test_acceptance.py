@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from lossbell import (
     basis_block_weights,
     expectation_after_loss,
     generate,
-    generator_expectation,
     generic_bell_operator,
     graph_state,
     max_tolerable_loss,
@@ -38,17 +36,16 @@ from lossbell import (
     random_connected_graph,
     root_loss_check,
     single_loss_mixture_curve,
-    stabilizer,
     violation_report,
 )
 from lossbell.bell import stabilizer_sum_matrix
 from lossbell.oracle import EXPECTATION_TOL
+from lossbell.verify import IDENTITIES, VerifyResult, check_graph, loss_sets
 
 SEED = 1729
 N_RANDOM_GRAPHS = 200
 MAX_LOSS = 3
 LOSS_SETS_PER_GRAPH = 500
-REPLACEMENTS = ("zero", "one", "mixed")
 
 
 def _passline(label: str, detail: str) -> None:
@@ -76,95 +73,37 @@ def _sweep_graphs() -> list[Graph]:
     return graphs
 
 
-def _loss_sets(n: int) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
-    for k in range(0, min(MAX_LOSS, n - 1) + 1):
-        for combo in combinations(range(n), k):
-            out.append(frozenset(combo))
-            if len(out) >= LOSS_SETS_PER_GRAPH:
-                return out
-    return out
-
-
 @dataclass
 class SweepResults:
-    graphs: list[Graph] = field(default_factory=list)
-    elapsed: float = 0.0
-    bell_checks: int = 0
-    bell_max_dev: float = 0.0
-    generator_checks: int = 0
-    generator_max_dev: float = 0.0
-    replacement_checks: int = 0
-    replacement_max_spread: float = 0.0
+    graphs: list[Graph]
+    elapsed: float
+    bell_checks: int
+    bell_max_dev: float
+    generator_checks: int
+    generator_max_dev: float
+    replacement_checks: int
+    replacement_max_spread: float
 
 
 @pytest.fixture(scope="session")
 def sweep() -> SweepResults:
-    results = SweepResults(graphs=_sweep_graphs())
+    graphs = _sweep_graphs()
+    result = VerifyResult()
     start = time.monotonic()
-    for g in results.graphs:
-        full_ops = {r: bell_stabilizer_sum(g, r) for r in sorted(g.roots)}
-        for lost in _loss_sets(g.n):
-            lossy = LossyState(g, lost)
-            survivors = tuple(sorted(g.vertices - lost))
-            sub, mapping = g.induced_subgraph(survivors)
-            induced_gens = {
-                i: stabilizer(sub, mapping[i]).embed(survivors, g.n)
-                for i in survivors
-            }
-
-            # per-generator expectations: lossy state, both graphs
-            for i in range(g.n):
-                want = generator_expectation(g, i, frozenset(), lost)
-                got = lossy.pauli_expectation(stabilizer(g, i))
-                results.generator_max_dev = max(
-                    results.generator_max_dev, abs(want - got)
-                )
-                results.generator_checks += 1
-            for i in survivors:
-                want = generator_expectation(g, i, lost, lost)
-                got = lossy.pauli_expectation(induced_gens[i])
-                results.generator_max_dev = max(
-                    results.generator_max_dev, abs(want - got)
-                )
-                results.generator_checks += 1
-
-            # survivor-subgraph generators on the intact pure state
-            if lost:
-                intact = LossyState(g, frozenset())
-                for i in survivors:
-                    want = generator_expectation(g, i, lost, frozenset())
-                    got = intact.pauli_expectation(induced_gens[i])
-                    results.generator_max_dev = max(
-                        results.generator_max_dev, abs(want - got)
-                    )
-                    results.generator_checks += 1
-
-            # Bell level: closed form against both operators, all conventions
-            for r in sorted(g.roots - lost):
-                want_value = float(expectation_after_loss(g, r, lost))
-                got_full = lossy.bell_expectation(full_ops[r])
-                results.bell_max_dev = max(
-                    results.bell_max_dev, abs(want_value - got_full)
-                )
-                results.bell_checks += 1
-                if sub.n_max > 0:  # survivor operator is degenerate otherwise
-                    sub_op = bell_stabilizer_sum(sub, mapping[r], allow_non_root=True)
-                    got_sub = lossy.bell_expectation(sub_op, positions=survivors)
-                    results.bell_max_dev = max(
-                        results.bell_max_dev, abs(want_value - got_sub)
-                    )
-                    results.bell_checks += 1
-                values = [
-                    lossy.bell_expectation(full_ops[r], replacement=rep)
-                    for rep in REPLACEMENTS
-                ]
-                results.replacement_max_spread = max(
-                    results.replacement_max_spread, max(values) - min(values)
-                )
-                results.replacement_checks += 1
-    results.elapsed = time.monotonic() - start
-    return results
+    for g in graphs:
+        check_graph(
+            g, loss_sets(g.n, MAX_LOSS, LOSS_SETS_PER_GRAPH), IDENTITIES, result
+        )
+    return SweepResults(
+        graphs=graphs,
+        elapsed=time.monotonic() - start,
+        bell_checks=result.bell.checks,
+        bell_max_dev=result.bell.worst,
+        generator_checks=result.generator.checks,
+        generator_max_dev=result.generator.worst,
+        replacement_checks=result.replacement.checks,
+        replacement_max_spread=result.replacement.worst,
+    )
 
 
 def test_lossless_families_reach_quantum_value():

@@ -190,6 +190,50 @@ class TestVerify:
         assert code == 0
         assert "agree: True" in out
 
+    def test_replacement_invariance_on_a_family(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--replacement-invariance", "--family", "ring",
+            "--n", "5", "--max-loss", "1",
+        )
+        assert code == 0
+        # every root of the 5-ring on each of its 5 single losses
+        first, second = out.splitlines()[:2]
+        assert first.startswith(
+            "replacement invariance: 25 checks, all conventions agree: True; max spread "
+        )
+        assert second == "checked 6 of 6 loss sets"
+
+    def test_bare_replacement_invariance(self, capsys):
+        assert_usage_error(*run(capsys, "verify", "--replacement-invariance"))
+
+    def test_reports_capped_loss_sets(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--family", "ring", "--n", "6", "--max-loss", "2",
+            "--max-sets", "10",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "checked 10 of 22 loss sets"
+
+    def test_planted_fault_is_located(self, capsys, monkeypatch):
+        import lossbell.verify as verify_mod
+
+        true_value = verify_mod.generator_expectation
+
+        def planted(g, i, hypothesis, actual):
+            value = true_value(g, i, hypothesis, actual)
+            if i == 2 and not hypothesis and actual == {1}:
+                return 1 - value
+            return value
+
+        monkeypatch.setattr(verify_mod, "generator_expectation", planted)
+        code, out, _ = run(
+            capsys, "verify", "--family", "star", "--n", "5", "--max-loss", "1"
+        )
+        assert code == 3
+        assert "FAIL" in out
+        assert "worst at generator/full:" in out
+        assert "loss [1], vertex 2" in out
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run(
             capsys, "verify", "--family", "ring", "--n", "16", "--cap", "14"
@@ -258,6 +302,13 @@ class TestMixture:
             capsys, "mixture", "--family", "dense-center", "--n", "12",
             "--dist", str(path), "--hypothesis", "6", "--root", "99",
         ))
+
+    def test_non_root_anchor(self, capsys):
+        code, out, err = run(
+            capsys, "mixture", "--family", "star", "--n", "6", "--root", "3"
+        )
+        assert_usage_error(code, out, err)
+        assert "vertex 3 has degree 1, not the maximum 5" in err
 
     def test_empty_grid(self, capsys):
         assert_usage_error(*run(

@@ -346,6 +346,40 @@ class TestMixtures:
         assert value == Quad(5, 5)
         assert value < quantum_bound(sub)
 
+    @given(connected_graphs(min_n=2, max_n=8), st.data())
+    def test_hypothesis_mixture_matches_per_realization_values(self, g, data):
+        # reference: one induced_operator_expectation per realization, with
+        # out-of-range vertices, whole-graph losses and out-of-range anchors
+        def vertex_sets():
+            return st.frozensets(st.integers(0, g.n), max_size=g.n)
+
+        hyp = data.draw(vertex_sets())
+        root = data.draw(st.integers(-1, g.n))
+        realizations = data.draw(st.lists(vertex_sets(), min_size=1, max_size=4))
+        weights = [data.draw(st.integers(1, 5)) for _ in realizations]
+        dist = LossDistribution(
+            tuple(
+                (Fraction(w, sum(weights)), s) for w, s in zip(weights, realizations)
+            )
+        )
+
+        def reference():
+            total = Quad(0)
+            for prob, realization in dist.entries:
+                total = total + (
+                    induced_operator_expectation(g, root, hyp, realization) * prob
+                )
+            return total
+
+        def outcome(evaluate):
+            try:
+                return evaluate()
+            except (ValueError, IndexError) as exc:
+                return type(exc)
+
+        got = outcome(lambda: mixture_expectation(g, dist, root, hyp))
+        assert got == outcome(reference)
+
     def test_curve_crossover_is_exact_meeting_point(self, dense12):
         grid = [Fraction(j, 80) for j in range(20)]
         curve = single_loss_mixture_curve(
