@@ -245,14 +245,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         graphs.append(_load_graph(args))
     if not graphs:
         raise GraphFormatError("verify needs --random/--n, --family or --file")
+    if args.max_sets < 1:
+        raise ValueError(f"--max-sets must be at least 1, got {args.max_sets}")
     max_loss = args.loss_size if args.loss_size is not None else args.max_loss
     identities = ("replacement",) if args.replacement_invariance else (
         "generator/full", "generator/survivor", "bell/full", "bell/survivor")
     result = VerifyResult()
     for g in graphs:
-        if g.n > args.cap:
-            raise SizeCapExceededError(f"n={g.n} exceeds oracle cap {args.cap}")
-        check_graph(g, loss_sets(g.n, max_loss, args.max_sets), identities, result)
+        sets = loss_sets(g.n, max_loss, args.max_sets)
+        check_graph(g, sets, identities, result, cap=args.cap)
     tally = result.replacement if args.replacement_invariance else max(
         result.generator, result.bell, key=lambda t: t.worst)
     passed = tally.worst <= oracle.EXPECTATION_TOL

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bell import classical_bound, quantum_bound
-from .graphs import Graph
+from .graphs import DEFAULT_VERTEX_CAP, Graph
 from .quad import Quad
 
 KINDS = ("ring", "star", "two-centered-ghz", "dense-center")
@@ -35,6 +35,8 @@ class FamilySpec:
         minimum = {"ring": 3, "star": 2, "two-centered-ghz": 4, "dense-center": 4}
         if self.n < minimum[self.kind]:
             raise ValueError(f"{self.kind} needs n >= {minimum[self.kind]}")
+        if self.n > DEFAULT_VERTEX_CAP:
+            raise ValueError(f"{self.kind} needs n <= {DEFAULT_VERTEX_CAP}")
         if self.kind in ("two-centered-ghz", "dense-center") and self.n % 2:
             raise ValueError(f"{self.kind} needs even n, got {self.n}")
 

@@ -17,9 +17,16 @@ from collections.abc import Iterable
 
 from .errors import GraphFormatError
 
+# Graph.parse and the built-in families refuse more vertices, before anything
+# is allocated per vertex: at the cap the adjacency masks of a graph take at
+# most n*n/8 bytes (12.5 MB), and they grow quadratically beyond it.
+DEFAULT_VERTEX_CAP = 10_000
+
 
 class Graph:
-    __slots__ = ("_n", "_edges", "_adj", "_n_max", "_roots", "_fingerprint")
+    __slots__ = (
+        "_n", "_edges", "_adj", "_masks", "_n_max", "_roots", "_fingerprint"
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -34,13 +41,18 @@ class Graph:
         self._n = n
         self._edges = tuple(sorted(normalized))
         adj = [set() for _ in range(n)]
+        masks = [0] * n
         for i, j in self._edges:
             adj[i].add(j)
             adj[j].add(i)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         self._adj = tuple(frozenset(s) for s in adj)
-        self._n_max = max(len(s) for s in self._adj)
+        self._masks = tuple(masks)
+        degrees = [len(s) for s in adj]
+        self._n_max = max(degrees)
         self._roots = frozenset(
-            i for i in range(n) if len(self._adj[i]) == self._n_max
+            i for i, degree in enumerate(degrees) if degree == self._n_max
         )
         digest = hashlib.sha256(f"{n}|{self._edges}".encode()).hexdigest()
         self._fingerprint = digest[:12]
@@ -72,6 +84,11 @@ class Graph:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(range(self._n))
+
+    @property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighborhoods as bitmasks: bit j of entry i is set iff i ~ j."""
+        return self._masks
 
     def degree(self, i: int) -> int:
         return len(self.neighborhood(i))
@@ -137,14 +154,21 @@ class Graph:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def parse(cls, text: str) -> Graph:
+    def parse(cls, text: str, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+        """Graph from either text format; a vertex count above ``cap`` is a
+        `GraphFormatError`, raised before any per-vertex allocation."""
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return cls._parse_json(stripped)
-        return cls._parse_edge_list(text)
+            return cls._parse_json(stripped, cap)
+        return cls._parse_edge_list(text, cap)
+
+    @staticmethod
+    def _check_cap(n: int, cap: int) -> None:
+        if n > cap:
+            raise GraphFormatError(f"n={n} exceeds the vertex cap {cap}")
 
     @classmethod
-    def _parse_json(cls, text: str) -> Graph:
+    def _parse_json(cls, text: str, cap: int) -> Graph:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -154,12 +178,16 @@ class Graph:
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise GraphFormatError('JSON graph needs fields "n" and "edges"')
         try:
-            return cls(int(doc["n"]), [(int(i), int(j)) for i, j in doc["edges"]])
+            n = int(doc["n"])
+            cls._check_cap(n, cap)
+            return cls(n, [(int(i), int(j)) for i, j in doc["edges"]])
+        except GraphFormatError:
+            raise
         except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
 
     @classmethod
-    def _parse_edge_list(cls, text: str) -> Graph:
+    def _parse_edge_list(cls, text: str, cap: int) -> Graph:
         n = None
         edges = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -177,6 +205,7 @@ class Graph:
                     raise GraphFormatError(
                         f"line {lineno}: bad vertex count {line[2:]!r}"
                     ) from exc
+                cls._check_cap(n, cap)
                 continue
             parts = line.split()
             if len(parts) != 2:

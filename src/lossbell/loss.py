@@ -3,13 +3,15 @@
 Given a loss set, the expectation of a root-anchored Bell operator on the
 post-loss state follows from two counting sets: the root's surviving
 neighbors not touched by any lost vertex's closed neighborhood (W) and the
-untouched non-neighbors (T).  Everything in this module is exact `Quad`
-arithmetic and set algebra; the statevector oracle is never consulted here,
-so the two can cross-check each other.
+untouched non-neighbors (T).  Everything in this module is exact: counts
+come from vertex bitmasks, values are `Quad`s, and the exhaustive sweeps
+decide each loss set by an integer comparison.  The statevector oracle is
+never consulted here, so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,39 +55,70 @@ class WTSets:
     root_hit: bool
 
 
-def _dead(
-    g: Graph, hypothesis: frozenset[int], actual: frozenset[int]
-) -> set[int]:
-    """Vertices whose generator of the subgraph surviving ``hypothesis`` has
-    expectation 0 on the state that actually lost ``actual``: those actually
-    lost and every neighbor of a vertex of either set.  Every other
-    surviving generator keeps expectation 1.  Both sets must be validated by
-    the caller.
+# Vertex sets on the hot path are int bitmasks: bit v is set iff v is in the set.
+
+
+def _mask(vertices: frozenset[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _complement(g: Graph, mask: int) -> int:
+    return ((1 << g.n) - 1) & ~mask
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+def _alive(g: Graph, hypothesis: int, actual: int) -> int:
+    """Mask of the vertices whose generator of the subgraph surviving
+    ``hypothesis`` keeps expectation 1 on the state that actually lost
+    ``actual``: every vertex not in either set and not adjacent to a vertex
+    of either set.  Every other surviving generator has expectation 0.  Both
+    masks must be validated by the caller.
     """
-    dead = set(actual)
-    for v in hypothesis | actual:
-        dead |= g.neighborhood(v)
-    return dead
+    adj = g.adjacency_masks
+    dead = rest = actual | hypothesis
+    while rest:
+        low = rest & -rest
+        dead |= adj[low.bit_length() - 1]
+        rest ^= low
+    return _complement(g, dead)
 
 
-def _counting_sets(
-    g: Graph, r: int, hypothesis: frozenset[int], actual: frozenset[int]
-) -> WTSets:
-    """Counting sets of the operator of the subgraph surviving ``hypothesis``,
-    anchored at r, on the state that actually lost ``actual``.
-
-    W and T are r's surviving neighbors and non-neighbors whose generators
-    are not dead, and root_hit says whether r's own generator is.
+def _counts(g: Graph, r: int, alive: int) -> tuple[int, int, bool]:
+    """|W|, |T| and root_hit of the operator anchored at r (not hypothesized
+    lost): W and T are r's alive neighbors and alive non-neighbors, and
+    root_hit says whether r's own generator is dead.
     """
-    dead = _dead(g, hypothesis, actual)
-    alive = g.vertices - hypothesis - dead
-    nr = g.neighborhood(r)
-    return WTSets(alive & nr, alive - nr - {r}, r in dead)
+    if not 0 <= r < g.n:
+        raise IndexError(f"vertex {r} out of range for n={g.n}")
+    w = (alive & g.adjacency_masks[r]).bit_count()
+    root_hit = not alive >> r & 1
+    return w, alive.bit_count() - w - (not root_hit), root_hit
 
 
-def _bell_value(sets: WTSets, anchor_weight: int) -> Quad:
+def _bell_value(w: int, t: int, root_hit: bool, anchor_weight: int) -> Quad:
     """|T| + sqrt(2)*(|W| + anchor_weight), the anchor term only if it survives."""
-    return Quad(len(sets.t), len(sets.w) + (0 if sets.root_hit else anchor_weight))
+    return Quad(t, w + (0 if root_hit else anchor_weight))
+
+
+def _survivor_degrees(g: Graph, keep: int) -> dict[int, int]:
+    """Degree of each vertex of ``keep`` in the subgraph that ``keep`` induces."""
+    return {
+        v: (adj & keep).bit_count()
+        for v, adj in enumerate(g.adjacency_masks)
+        if keep >> v & 1
+    }
 
 
 def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
@@ -96,7 +129,13 @@ def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
     root_hit: whether the loss touches r's closed neighborhood.
     """
     _require_root(g, r)
-    return _counting_sets(g, r, frozenset(), _validate_loss(g, loss))
+    alive = _alive(g, 0, _mask(_validate_loss(g, loss)))
+    nr = g.adjacency_masks[r]
+    return WTSets(
+        frozenset(_members(alive & nr)),
+        frozenset(_members(alive & ~nr & ~(1 << r))),
+        not alive >> r & 1,
+    )
 
 
 def expectation_after_loss(g: Graph, r: int, loss: frozenset[int]) -> Quad:
@@ -108,7 +147,9 @@ def expectation_after_loss(g: Graph, r: int, loss: frozenset[int]) -> Quad:
     surviving subgraph; for r in the loss set it applies to the full-graph
     operator only.
     """
-    return _bell_value(wt_sets(g, r, loss), g.n_max)
+    _require_root(g, r)
+    alive = _alive(g, 0, _mask(_validate_loss(g, loss)))
+    return _bell_value(*_counts(g, r, alive), g.n_max)
 
 
 def generator_expectation(
@@ -131,7 +172,7 @@ def generator_expectation(
         )
     if not 0 <= i < g.n:
         raise IndexError(f"vertex {i} out of range")
-    return 0 if i in _dead(g, hypothesis, actual) else 1
+    return _alive(g, _mask(hypothesis), _mask(actual)) >> i & 1
 
 
 def induced_operator_expectation(
@@ -149,8 +190,8 @@ def induced_operator_expectation(
     sub, _ = g.induced_subgraph(g.vertices - hypothesis)
     if sub.n_max == 0:
         raise DegenerateGraphError("surviving subgraph has no edges")
-    actual = _validate_loss(g, actual)
-    return _bell_value(_counting_sets(g, r, hypothesis, actual), sub.n_max)
+    alive = _alive(g, _mask(hypothesis), _mask(_validate_loss(g, actual)))
+    return _bell_value(*_counts(g, r, alive), sub.n_max)
 
 
 # -- violation reports -------------------------------------------------------
@@ -244,14 +285,20 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
     loss = _validate_loss(g, loss)
     full_bound = classical_bound(g)
     quantum = quantum_bound(g)
-    sub, mapping = g.induced_subgraph(g.vertices - loss)
-    induced_bound = None if sub.n_max == 0 else classical_bound(sub)
+    lost = _mask(loss)
+    degrees = _survivor_degrees(g, _complement(g, lost))
+    induced_n_max = max(degrees.values())
+    # classical_bound of the survivor subgraph, undefined when it has no edges
+    induced_bound = (
+        None if induced_n_max == 0 else Quad(induced_n_max + len(degrees) - 1)
+    )
+    alive = _alive(g, 0, lost)
     surviving_roots = sorted(r for r in g.roots if r not in loss)
     records = []
     if surviving_roots:
         for r in surviving_roots:
-            sets = wt_sets(g, r, loss)
-            value = _bell_value(sets, g.n_max)
+            w, t, root_hit = _counts(g, r, alive)
+            value = _bell_value(w, t, root_hit, g.n_max)
             records.append(
                 RootRecord(
                     root=r,
@@ -261,16 +308,18 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
                     violates_induced=(
                         induced_bound is not None and value > induced_bound
                     ),
-                    w_size=len(sets.w),
-                    t_size=len(sets.t),
-                    root_hit=sets.root_hit,
-                    anchor_is_induced_root=mapping[r] in sub.roots
-                    and sub.n_max > 0,
+                    w_size=w,
+                    t_size=t,
+                    root_hit=root_hit,
+                    anchor_is_induced_root=degrees[r] == induced_n_max
+                    and induced_n_max > 0,
                 )
             )
     elif induced_bound is not None:
-        for r in sorted(old for old, new in mapping.items() if new in sub.roots):
-            value = induced_operator_expectation(g, r, loss, loss)
+        for r, degree in degrees.items():
+            if degree != induced_n_max:
+                continue
+            value = _bell_value(*_counts(g, r, alive), induced_n_max)
             records.append(
                 RootRecord(
                     root=r,
@@ -294,8 +343,8 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
         full_bound=full_bound,
         quantum=quantum,
         induced_bound=induced_bound,
-        induced_n=sub.n,
-        induced_n_max=sub.n_max,
+        induced_n=len(degrees),
+        induced_n_max=induced_n_max,
         records=tuple(records),
     )
 
@@ -411,6 +460,48 @@ def _subset_outcome(g: Graph, subset: tuple[int, ...], bound: str) -> SubsetOutc
     return SubsetOutcome(subset=subset, expectation=best, bound=compared)
 
 
+def _exceeds(t: int, b: int, bound: int) -> bool:
+    """t + sqrt(2)*b > bound, for integers with b >= 0, in integers: if
+    bound - t >= 0, both sides of sqrt(2)*b > bound - t are nonnegative and
+    may be squared."""
+    d = bound - t
+    return d < 0 or 2 * b * b > d * d
+
+
+def _verdict(g: Graph, bound: str) -> Callable[[int], bool]:
+    """``violation_report(g, L).violates(bound)`` for a proper loss set L
+    given as a mask, decided from integer counts alone: no `Quad`, `Graph`
+    or report is built per loss set.  Raises `DegenerateGraphError` for an
+    edgeless graph, as every report does."""
+    classical_bound(g)
+    roots = sorted(g.roots)
+
+    def verdict(lost: int) -> bool:
+        keep = _complement(g, lost)
+        anchors = [r for r in roots if keep >> r & 1]
+        weight = g.n_max
+        if bound == "full":
+            # with every root lost, no record counts against this bound
+            score = g.n_max + g.n - 1  # classical_bound(g)
+        else:
+            degrees = _survivor_degrees(g, keep)
+            sub_n_max = max(degrees.values())
+            if sub_n_max == 0:  # the survivor bound is undefined
+                return False
+            score = sub_n_max + len(degrees) - 1  # classical bound of the survivors
+            if not anchors:
+                anchors = [v for v, d in degrees.items() if d == sub_n_max]
+                weight = sub_n_max
+        alive = _alive(g, 0, lost)
+        for r in anchors:
+            w, t, root_hit = _counts(g, r, alive)
+            if _exceeds(t, w + (0 if root_hit else weight), score):
+                return True
+        return False
+
+    return verdict
+
+
 def loss_size_sweep(
     g: Graph,
     candidates: frozenset[int],
@@ -432,25 +523,25 @@ def loss_size_sweep(
         limit = min(limit, max_size)
     sizes = list(range(limit + 1))
     _check_budget(len(cand), sizes, budget)
+    verdict = _verdict(g, bound)
+    bits = [1 << v for v in cand]
     rows = []
     for k in sizes:
-        n_subsets = 0
         n_violating = 0
         witness = None
         counterexample = None
-        for combo in combinations(cand, k):
-            n_subsets += 1
-            report = violation_report(g, frozenset(combo))
-            if report.violates(bound):
+        for combo in combinations(bits, k):
+            lost = sum(combo)
+            if verdict(lost):
                 n_violating += 1
                 if witness is None:
-                    witness = _subset_outcome(g, combo, bound)
+                    witness = _subset_outcome(g, tuple(_members(lost)), bound)
             elif counterexample is None:
-                counterexample = _subset_outcome(g, combo, bound)
+                counterexample = _subset_outcome(g, tuple(_members(lost)), bound)
         rows.append(
             SweepRow(
                 size=k,
-                n_subsets=n_subsets,
+                n_subsets=comb(len(cand), k),
                 n_violating=n_violating,
                 witness=witness,
                 counterexample=counterexample,
@@ -514,20 +605,23 @@ def critical_sets(
     budget: int = SUBSET_BUDGET,
 ) -> list[frozenset[int]]:
     """Inclusion-minimal loss sets of size <= max_size that leave no
-    violating root under the chosen bound."""
+    violating root under the chosen bound, by size and then lexicographic."""
     if bound not in ("full", "induced"):
         raise ValueError(f'bound must be "full" or "induced", got {bound!r}')
     sizes = list(range(1, min(max_size, g.n - 1) + 1))
     _check_budget(g.n, sizes, budget)
-    minimal: list[frozenset[int]] = []
+    if not sizes:
+        return []
+    verdict = _verdict(g, bound)
+    minimal: list[int] = []
     for k in sizes:
-        for combo in combinations(range(g.n), k):
-            subset = frozenset(combo)
-            if any(m <= subset for m in minimal):
+        for combo in combinations([1 << v for v in range(g.n)], k):
+            lost = sum(combo)
+            if any(not m & ~lost for m in minimal):
                 continue
-            if not violation_report(g, subset).violates(bound):
-                minimal.append(subset)
-    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+            if not verdict(lost):
+                minimal.append(lost)
+    return [frozenset(_members(m)) for m in minimal]
 
 
 # -- mixtures of loss realizations -----------------------------------------------
@@ -586,13 +680,13 @@ def mixture_expectation(
         hypothesis = _validate_loss(g, hypothesis)
         if root in hypothesis:
             raise ValueError("anchor vertex is in the hypothesized loss set")
-        survivors = g.vertices - hypothesis
-        n_max = max(len(g.neighborhood(v) & survivors) for v in survivors)
+        hyp = _mask(hypothesis)
+        n_max = max(_survivor_degrees(g, _complement(g, hyp)).values())
         if n_max == 0:
             raise DegenerateGraphError("surviving subgraph has no edges")
         for prob, realization in dist.entries:
-            sets = _counting_sets(g, root, hypothesis, _validate_loss(g, realization))
-            total = total + _bell_value(sets, n_max) * prob
+            alive = _alive(g, hyp, _mask(_validate_loss(g, realization)))
+            total = total + _bell_value(*_counts(g, root, alive), n_max) * prob
     return total
 
 

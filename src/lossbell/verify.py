@@ -12,7 +12,7 @@ from math import comb
 from .bell import bell_stabilizer_sum
 from .graphs import Graph
 from .loss import expectation_after_loss, generator_expectation
-from .oracle import REPLACEMENTS, LossyState
+from .oracle import DEFAULT_STATE_CAP, REPLACEMENTS, LossyState
 from .pauli import stabilizer
 
 IDENTITIES = ("generator/full", "generator/survivor", "generator/intact",
@@ -51,10 +51,11 @@ class VerifyResult:
 
 def check_graph(
     g: Graph, sets: Iterable[frozenset[int]], identities: tuple[str, ...],
-    result: VerifyResult | None = None,
+    result: VerifyResult | None = None, cap: int = DEFAULT_STATE_CAP,
 ) -> VerifyResult:
     """Check the selected identity kinds on every loss set L of ``sets``,
-    accumulating into ``result`` (a new one if None).
+    accumulating into ``result`` (a new one if None), on statevectors of at
+    most ``cap`` qubits.
 
     generator/full, /survivor, /intact: ``generator_expectation`` with
     hypothesis and actual loss ({}, L) for every vertex, (L, L) and (L, {})
@@ -69,10 +70,10 @@ def check_graph(
         raise ValueError(f"unknown identity kinds {sorted(on - set(IDENTITIES))}")
     result = VerifyResult() if result is None else result
     full_ops = {r: bell_stabilizer_sum(g, r) for r in sorted(g.roots)}
-    intact = LossyState(g, frozenset())
+    intact = LossyState(g, frozenset(), cap)
     for lost in sets:
         result.loss_sets += 1
-        lossy = LossyState(g, lost)
+        lossy = LossyState(g, lost, cap)
         survivors = tuple(sorted(g.vertices - lost))
         sub, mapping = g.induced_subgraph(survivors)
 

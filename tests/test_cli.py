@@ -92,6 +92,16 @@ class TestAnalyze:
         assert code == 1
         assert "n=<N>" in err
 
+    @pytest.mark.parametrize(
+        "text", ["n=100000000\n", '{"n": 100000000, "edges": []}']
+    )
+    def test_vertex_count_over_the_cap(self, capsys, tmp_path, text):
+        path = tmp_path / "huge.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert_usage_error(code, out, err)
+        assert "exceeds the vertex cap" in err
+
     def test_out_of_range_hub(self, capsys):
         assert_usage_error(*run(
             capsys, "analyze", "--family", "star", "--n", "6",
@@ -233,6 +243,24 @@ class TestVerify:
         assert "FAIL" in out
         assert "worst at generator/full:" in out
         assert "loss [1], vertex 2" in out
+
+    def test_cap_raises_the_statevector_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--family", "ring", "--n", "15", "--cap", "16",
+            "--max-loss", "0",
+        )
+        assert code == 0
+        assert "PASS" in out
+        assert out.splitlines()[1] == "checked 1 of 1 loss sets"
+
+    @pytest.mark.parametrize("max_sets", ["0", "-3"])
+    def test_max_sets_below_one(self, capsys, max_sets):
+        code, out, err = run(
+            capsys, "verify", "--family", "star", "--n", "6", "--max-loss", "3",
+            "--max-sets", max_sets,
+        )
+        assert_usage_error(code, out, err)
+        assert "--max-sets must be at least 1" in err
 
     def test_cap_exit_code(self, capsys):
         code, _, err = run(

@@ -52,6 +52,8 @@ class TestGenerate:
             FamilySpec("dense-center", 9)
         with pytest.raises(ValueError):
             FamilySpec("wheel", 5)
+        with pytest.raises(ValueError, match="ring needs n <= "):
+            FamilySpec("ring", 10**8)
 
 
 class TestPredictions:

@@ -35,6 +35,12 @@ class TestNeighborhoods:
             for j in g.neighborhood(i):
                 assert i in g.neighborhood(j)
 
+    @given(graphs())
+    def test_masks_match_neighborhoods(self, g):
+        for i, mask in enumerate(g.adjacency_masks):
+            assert {j for j in range(g.n) if mask >> j & 1} == g.neighborhood(i)
+        assert len(g.adjacency_masks) == g.n
+
 
 class TestRoots:
     def test_ring_all_roots(self, ring6):
@@ -129,6 +135,15 @@ class TestTextFormats:
     def test_bad_json(self):
         with pytest.raises(GraphFormatError):
             Graph.parse('{"n": 3}')
+
+    def test_vertex_cap(self):
+        # the header alone is refused, before any edge line is read
+        with pytest.raises(GraphFormatError, match="n=5 exceeds the vertex cap 4"):
+            Graph.parse("n=5\nnot an edge\n", cap=4)
+        with pytest.raises(GraphFormatError, match="n=5 exceeds the vertex cap 4"):
+            Graph.parse('{"n": 5, "edges": [[0, 1]]}', cap=4)
+        assert Graph.parse("n=5\n0 1\n", cap=5) == Graph(5, [(0, 1)])
+        assert Graph.parse('{"n": 5, "edges": [[0, 1]]}', cap=5) == Graph(5, [(0, 1)])
 
 
 class TestRandomGraphs:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, graphs
 from lossbell import (
     BudgetExceededError,
     DegenerateGraphError,
@@ -16,6 +17,7 @@ from lossbell import (
     NotARootError,
     Quad,
     bell_stabilizer_sum,
+    classical_bound,
     critical_sets,
     expectation_after_loss,
     generator_expectation,
@@ -29,6 +31,18 @@ from lossbell import (
     violation_report,
     wt_sets,
 )
+from lossbell.loss import SubsetOutcome, SweepRow, _verdict
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except (ValueError, IndexError) as exc:
+        return type(exc)
 
 
 class TestWTSets:
@@ -211,6 +225,15 @@ class TestViolationReport:
         report = violation_report(g, lost)
         for rec in report.records:
             assert rec.expectation <= report.quantum
+        # the survivor figures against the survivor subgraph itself
+        sub, mapping = g.induced_subgraph(g.vertices - lost)
+        assert (report.induced_n, report.induced_n_max) == (sub.n, sub.n_max)
+        induced_bound = classical_bound(sub) if sub.n_max else None
+        assert report.induced_bound == induced_bound
+        for rec in report.records:
+            assert rec.anchor_is_induced_root == (
+                sub.n_max > 0 and mapping[rec.root] in sub.roots
+            )
         for r in sorted(g.roots - lost):
             sets = wt_sets(g, r, lost)
             assert sets.w <= g.neighborhood(r)
@@ -288,6 +311,126 @@ class TestSweeps:
     def test_budget_enforced(self, dense12):
         with pytest.raises(BudgetExceededError, match="64"):
             loss_size_sweep(dense12, frozenset(dense12.leaves()), budget=10)
+
+
+def _reference_sweep(g, candidates, bound, max_size):
+    """The report-per-subset loop of loss_size_sweep before the bitmask kernel."""
+    cand = sorted(candidates)
+    limit = len(cand) if len(cand) < g.n else g.n - 1
+    if max_size is not None:
+        limit = min(limit, max_size)
+
+    def subset_outcome(subset):
+        report = violation_report(g, frozenset(subset))
+        compared = report.full_bound if bound == "full" else report.induced_bound
+        return SubsetOutcome(subset, report.best_expectation(), compared)
+
+    rows = []
+    for k in range(limit + 1):
+        n_subsets = n_violating = 0
+        witness = counterexample = None
+        for combo in combinations(cand, k):
+            n_subsets += 1
+            if violation_report(g, frozenset(combo)).violates(bound):
+                n_violating += 1
+                if witness is None:
+                    witness = subset_outcome(combo)
+            elif counterexample is None:
+                counterexample = subset_outcome(combo)
+        rows.append(SweepRow(k, n_subsets, n_violating, witness, counterexample))
+    return rows
+
+
+def _reference_critical_sets(g, max_size, bound):
+    """The report-per-subset loop of critical_sets before the bitmask kernel."""
+    minimal = []
+    for k in range(1, min(max_size, g.n - 1) + 1):
+        for combo in combinations(range(g.n), k):
+            subset = frozenset(combo)
+            if any(m <= subset for m in minimal):
+                continue
+            if not violation_report(g, subset).violates(bound):
+                minimal.append(subset)
+    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.fixture
+def star_plus_edge() -> Graph:
+    return Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2)])
+
+
+@pytest.fixture
+def triangles() -> Graph:
+    return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+class TestVerdictKernel:
+    """The integer sweep verdict against the exact per-subset report."""
+
+    # every hub lost leaves survivor anchors in star_plus_edge; a lost star
+    # hub leaves no edge
+    @pytest.mark.parametrize(
+        "name",
+        ["star6", "star_plus_edge", "two_hub8", "tail_graph7", "ring6", "triangles"],
+    )
+    @pytest.mark.parametrize("bound", ["full", "induced"])
+    def test_every_loss_set(self, request, name, bound):
+        g = request.getfixturevalue(name)
+        verdict = _verdict(g, bound)
+        for k in range(g.n):
+            for combo in combinations(range(g.n), k):
+                report = violation_report(g, frozenset(combo))
+                assert verdict(_mask(combo)) == report.violates(bound), combo
+
+    @settings(max_examples=80)
+    @given(graphs(min_n=2, max_n=10), st.data())
+    def test_matches_report(self, g, data):
+        if g.n_max == 0:
+            for bound in ("full", "induced"):
+                with pytest.raises(DegenerateGraphError):
+                    _verdict(g, bound)
+            return
+        vertices = st.integers(0, g.n - 1)
+        losses = data.draw(
+            st.lists(st.frozensets(vertices, max_size=g.n - 1), max_size=6)
+        )
+        # every root lost, plus whatever else was drawn
+        losses.append(g.roots | data.draw(st.frozensets(vertices)))
+        # edgeless survivors: the complement of a maximal independent set
+        independent: set[int] = set()
+        for v in data.draw(st.permutations(range(g.n))):
+            if not g.neighborhood(v) & independent:
+                independent.add(v)
+        losses.append(g.vertices - independent)
+        for bound in ("full", "induced"):
+            verdict = _verdict(g, bound)
+            for loss in losses:
+                if len(loss) < g.n:
+                    report = violation_report(g, loss)
+                    assert verdict(_mask(loss)) == report.violates(bound)
+
+    @settings(max_examples=40)
+    @given(graphs(min_n=1, max_n=8), st.data())
+    def test_sweeps_match_report_loops(self, g, data):
+        candidates = data.draw(st.frozensets(st.integers(0, g.n - 1)))
+        max_size = data.draw(st.none() | st.integers(0, g.n))
+        critical_size = data.draw(st.integers(0, 3))
+        for bound in ("full", "induced"):
+            assert _outcome(
+                lambda: loss_size_sweep(g, candidates, bound, max_size)
+            ) == _outcome(lambda: _reference_sweep(g, candidates, bound, max_size))
+            assert _outcome(
+                lambda: critical_sets(g, critical_size, bound)
+            ) == _outcome(lambda: _reference_critical_sets(g, critical_size, bound))
+
+    @pytest.mark.parametrize("bound", ["full", "induced"])
+    def test_dense_center_sweep_and_critical_sets(self, dense12, bound):
+        assert loss_size_sweep(dense12, dense12.vertices, bound, 3) == (
+            _reference_sweep(dense12, dense12.vertices, bound, 3)
+        )
+        assert critical_sets(dense12, 2, bound) == (
+            _reference_critical_sets(dense12, 2, bound)
+        )
 
 
 class TestCriticalSets:
@@ -371,14 +514,8 @@ class TestMixtures:
                 )
             return total
 
-        def outcome(evaluate):
-            try:
-                return evaluate()
-            except (ValueError, IndexError) as exc:
-                return type(exc)
-
-        got = outcome(lambda: mixture_expectation(g, dist, root, hyp))
-        assert got == outcome(reference)
+        got = _outcome(lambda: mixture_expectation(g, dist, root, hyp))
+        assert got == _outcome(reference)
 
     def test_curve_crossover_is_exact_meeting_point(self, dense12):
         grid = [Fraction(j, 80) for j in range(20)]
