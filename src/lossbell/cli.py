@@ -240,6 +240,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.random:
         if not args.n:
             raise GraphFormatError("--random needs --n")
+        if args.n > args.cap:
+            raise SizeCapExceededError(f"n={args.n} exceeds statevector cap {args.cap}")
         graphs += [random_connected_graph(args.n, rng) for _ in range(args.random)]
     if args.family or args.file:
         graphs.append(_load_graph(args))
@@ -247,7 +249,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise GraphFormatError("verify needs --random/--n, --family or --file")
     if args.max_sets < 1:
         raise ValueError(f"--max-sets must be at least 1, got {args.max_sets}")
-    max_loss = args.loss_size if args.loss_size is not None else args.max_loss
+    flag, max_loss = (("--loss-size", args.loss_size) if args.loss_size is not None
+                      else ("--max-loss", args.max_loss))
+    if max_loss < 0:
+        raise ValueError(f"{flag} must be at least 0, got {max_loss}")
     identities = ("replacement",) if args.replacement_invariance else (
         "generator/full", "generator/survivor", "bell/full", "bell/survivor")
     result = VerifyResult()

@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -33,13 +34,12 @@ EXPECTATION_TOL = 1e-9
 REPLACEMENTS = ("zero", "one", "mixed")
 
 
-def _bit_parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    out = np.zeros(indices.shape, dtype=bool)
-    while mask:
-        k = (mask & -mask).bit_length() - 1
-        out ^= ((indices >> k) & 1).astype(bool)
-        mask &= mask - 1
-    return out
+@lru_cache(maxsize=None)
+def _indices(dim: int) -> np.ndarray:
+    """``np.arange(dim)``, built once per dimension and read-only."""
+    idx = np.arange(dim)
+    idx.flags.writeable = False
+    return idx
 
 
 @lru_cache(maxsize=64)
@@ -54,7 +54,7 @@ def graph_state(g: Graph, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     if g.n > cap:
         raise SizeCapExceededError(f"n={g.n} exceeds statevector cap {cap}")
     dim = 1 << g.n
-    idx = np.arange(dim)
+    idx = _indices(dim)
     amps = np.full(dim, 2 ** (-g.n / 2), dtype=complex)
     for i, j in g.edges:
         both = ((idx >> i) & (idx >> j) & 1).astype(bool)
@@ -71,13 +71,12 @@ def graph_state(g: Graph, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
 def apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
     if len(state) != 1 << p.n:
         raise ValueError("state dimension does not match the Pauli string")
-    idx = np.arange(len(state))
-    src = idx ^ p.x_bits
+    src = _indices(len(state)) ^ p.x_bits
     y_count = (p.x_bits & p.z_bits).bit_count()
     coeff = 1j ** ((p.phase_pow + y_count) % 4)
     out = state[src] * coeff
-    flip = _bit_parity(src, p.z_bits)
-    out[flip] = -out[flip]
+    flip = (np.bitwise_count(src & p.z_bits) & 1).astype(bool)
+    np.negative(out, out=out, where=flip)
     return out
 
 
@@ -91,19 +90,34 @@ class LossyState:
 
     Semantically the density matrix is the survivors' marginal tensored with
     a fixed state on each lost site; the default replacement is |0><0|.
+
+    Survivor-part expectations are memoised by the survivor Pauli, so each
+    distinct one is computed from amplitudes once; `with_loss` gives a state
+    under another loss set that shares the memo.
     """
 
     def __init__(
         self, graph: Graph, loss: frozenset[int], cap: int = DEFAULT_STATE_CAP
     ) -> None:
-        loss = frozenset(loss)
-        if not loss <= graph.vertices:
-            raise ValueError("loss set contains out-of-range vertices")
-        if len(loss) >= graph.n:
-            raise ValueError("losing every qubit is not allowed")
         self.graph = graph
-        self.loss = loss
+        self._set_loss(loss)
         self.state = graph_state(graph, cap)
+        # (x_bits, z_bits, phase_pow) of a survivor Pauli -> <state|P|state>
+        self._survivor_values: dict[tuple[int, int, int], float] = {}
+
+    def with_loss(self, loss: frozenset[int]) -> LossyState:
+        """The same graph state under ``loss``, sharing this state's memo."""
+        other = copy.copy(self)
+        other._set_loss(loss)
+        return other
+
+    def _set_loss(self, loss: frozenset[int]) -> None:
+        loss = frozenset(loss)
+        if not loss <= self.graph.vertices:
+            raise ValueError("loss set contains out-of-range vertices")
+        if len(loss) >= self.graph.n:
+            raise ValueError("losing every qubit is not allowed")
+        self.loss = loss
         self._loss_mask = 0
         for l in loss:
             self._loss_mask |= 1 << l
@@ -124,10 +138,12 @@ class LossyState:
             factor = 0.0 if z_lost else 1.0
         if factor == 0.0:
             return 0.0
-        survivor_part = PauliString(
-            p.n, p.x_bits, p.z_bits & ~self._loss_mask, p.phase_pow
-        )
-        return factor * expectation(self.state, survivor_part)
+        key = (p.x_bits, p.z_bits & ~self._loss_mask, p.phase_pow)
+        value = self._survivor_values.get(key)
+        if value is None:
+            value = expectation(self.state, PauliString(p.n, *key))
+            self._survivor_values[key] = value
+        return factor * value
 
     def bell_expectation(
         self,
@@ -173,9 +189,10 @@ def dense_lossy_density_matrix(
 
     # permuted layout: kept sites at the low bits, lost sites above them
     dim = 1 << g.n
+    idx = _indices(dim)
     perm = np.zeros(dim, dtype=np.int64)
     for new_pos, old_pos in enumerate(kept + lost):
-        perm |= ((np.arange(dim) >> old_pos) & 1) << new_pos
+        perm |= ((idx >> old_pos) & 1) << new_pos
     psi_perm = np.zeros(dim, dtype=complex)
     psi_perm[perm] = psi
     m = psi_perm.reshape(1 << len(lost), 1 << len(kept))
@@ -206,7 +223,7 @@ def basis_block_weights(state: np.ndarray, sites: frozenset[int]) -> np.ndarray:
     (in ascending site order) spell the integer s.
     """
     sites_sorted = sorted(sites)
-    idx = np.arange(len(state))
+    idx = _indices(len(state))
     keys = np.zeros(len(state), dtype=np.int64)
     for pos, site in enumerate(sites_sorted):
         keys |= ((idx >> site) & 1) << pos

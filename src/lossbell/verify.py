@@ -63,7 +63,8 @@ def check_graph(
     each surviving root against the full-graph and (if it has an edge) the
     survivor subgraph's operator; replacement: the spread of each root's
     full-graph operator over the replacement conventions.  Intact and
-    replacement skip L = {}.
+    replacement skip L = {}.  Every loss set's state shares the memo of the
+    intact state, so each distinct survivor Pauli is computed once per call.
     """
     on = set(identities)
     if not on <= set(IDENTITIES):
@@ -73,7 +74,7 @@ def check_graph(
     intact = LossyState(g, frozenset(), cap)
     for lost in sets:
         result.loss_sets += 1
-        lossy = LossyState(g, lost, cap)
+        lossy = intact.with_loss(lost)
         survivors = tuple(sorted(g.vertices - lost))
         sub, mapping = g.induced_subgraph(survivors)
 

@@ -262,6 +262,35 @@ class TestVerify:
         assert_usage_error(code, out, err)
         assert "--max-sets must be at least 1" in err
 
+    @pytest.mark.parametrize("flag,value", [("--max-loss", "-1"), ("--loss-size", "-2")])
+    def test_negative_loss_size(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "verify", "--family", "star", "--n", "6", flag, value
+        )
+        assert_usage_error(code, out, err)
+        assert f"{flag} must be at least 0, got {value}" in err
+
+    def test_random_size_is_checked_before_drawing(self, capsys, monkeypatch):
+        import lossbell.cli as cli_mod
+
+        def refuse(n, rng):
+            raise AssertionError("random graph drawn before the size check")
+
+        monkeypatch.setattr(cli_mod, "random_connected_graph", refuse)
+        code, out, err = run(capsys, "verify", "--random", "1", "--n", "1500")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n=1500 exceeds statevector cap 14\n"
+
+    def test_random_graph_under_a_raised_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--random", "1", "--n", "15", "--cap", "16",
+            "--max-loss", "0",
+        )
+        assert code == 0
+        assert "PASS" in out
+        assert out.splitlines()[1] == "checked 1 of 1 loss sets"
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run(
             capsys, "verify", "--family", "ring", "--n", "16", "--cap", "14"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -22,12 +24,55 @@ from lossbell import (
 from lossbell.bell import stabilizer_sum_matrix
 from lossbell.oracle import (
     EXPECTATION_TOL,
+    REPLACEMENTS,
     apply_pauli,
     dense_expectation,
     dense_lossy_density_matrix,
     expectation,
 )
+from lossbell.pauli import PauliString
 from lossbell.verify import check_graph
+
+
+def _bit_parity(indices: np.ndarray, mask: int) -> np.ndarray:
+    """Reference: the parity of ``indices & mask``, one bit of the mask at a time."""
+    out = np.zeros(indices.shape, dtype=bool)
+    while mask:
+        k = (mask & -mask).bit_length() - 1
+        out ^= ((indices >> k) & 1).astype(bool)
+        mask &= mask - 1
+    return out
+
+
+def _reference_apply_pauli(state: np.ndarray, p: PauliString) -> np.ndarray:
+    """Reference `apply_pauli`: a fresh index vector and the bit-loop parity."""
+    src = np.arange(len(state)) ^ p.x_bits
+    coeff = 1j ** ((p.phase_pow + (p.x_bits & p.z_bits).bit_count()) % 4)
+    out = state[src] * coeff
+    flip = _bit_parity(src, p.z_bits)
+    out[flip] = -out[flip]
+    return out
+
+
+@st.composite
+def pauli_strings(draw, n: int) -> PauliString:
+    letters = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+    phase = draw(st.integers(0, 3))
+    p = PauliString.from_letters(letters)
+    return PauliString(n, p.x_bits, p.z_bits, phase)
+
+
+class TestApplyPauli:
+    @settings(max_examples=150)
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.data())
+    def test_equals_bit_loop_reference(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        p = data.draw(pauli_strings(n))
+        got = apply_pauli(state, p)
+        want = _reference_apply_pauli(state, p)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGraphState:
@@ -88,6 +133,59 @@ class TestLossyExpectations:
         lossy = LossyState(dense12, frozenset({7, 8, 9}))
         got = lossy.bell_expectation(bell_stabilizer_sum(dense12, 0))
         assert got == pytest.approx(14.727922061358, abs=1e-9)  # 2 + 9*sqrt2
+
+
+class TestSharedMemo:
+    """A `with_loss` state reads the memo its parent filled; a fresh state per
+    value computes it from amplitudes.  Both must give the same floats."""
+
+    @settings(max_examples=40)
+    @given(connected_graphs(min_n=2, max_n=10), st.data())
+    def test_memo_sharing_state_equals_a_fresh_one(self, g, data):
+        vertex_sets = st.sets(st.integers(0, g.n - 1), max_size=g.n - 1)
+        lost = frozenset(data.draw(vertex_sets))
+        earlier = frozenset(data.draw(vertex_sets))
+        gens = [stabilizer(g, i) for i in range(g.n)]
+        # stabilizer elements: the Paulis with nonzero expectation
+        products = data.draw(st.lists(st.sets(st.integers(0, g.n - 1), min_size=1),
+                                      max_size=4))
+        elements = [reduce(mul, (gens[i] for i in sorted(s))) for s in products]
+        rephased = [PauliString(g.n, p.x_bits, p.z_bits, data.draw(st.integers(1, 3)))
+                    for p in gens + elements]
+        randoms = data.draw(st.lists(pauli_strings(g.n), min_size=1, max_size=6))
+        paulis = gens + elements + rephased + randoms
+        survivors = tuple(sorted(g.vertices - lost))
+        sub, mapping = g.induced_subgraph(survivors)
+        ops = [(bell_stabilizer_sum(g, r), None) for r in sorted(g.roots)]
+        if sub.n_max > 0:
+            ops += [(bell_stabilizer_sum(sub, mapping[r], allow_non_root=True), survivors)
+                    for r in sorted(g.roots - lost)]
+
+        intact = LossyState(g, frozenset())
+        for state in (intact.with_loss(earlier), intact):  # fill the memo first
+            for x in REPLACEMENTS:
+                for p in paulis:
+                    state.pauli_expectation(p, x)
+        shared = intact.with_loss(lost)
+        for x in REPLACEMENTS:
+            for p in paulis:
+                fresh = LossyState(g, lost)
+                assert shared.pauli_expectation(p, x) == fresh.pauli_expectation(p, x)
+            for op, positions in ops:
+                fresh = LossyState(g, lost)
+                assert shared.bell_expectation(op, positions, x) == (
+                    fresh.bell_expectation(op, positions, x)
+                )
+
+    def test_with_loss_validates(self, star4):
+        intact = LossyState(star4, frozenset())
+        with pytest.raises(ValueError, match="out-of-range"):
+            intact.with_loss(frozenset({4}))
+        with pytest.raises(ValueError, match="every qubit"):
+            intact.with_loss(frozenset(range(4)))
+        lossy = intact.with_loss(frozenset({3}))
+        assert lossy.loss == {3} and intact.loss == frozenset()
+        assert lossy.state is intact.state
 
 
 class TestDenseSecondOpinion:

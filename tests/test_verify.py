@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import lossbell.verify as verify_mod
-from lossbell import FamilySpec, generate
+from lossbell import FamilySpec, LossyState, generate
 from lossbell.verify import IDENTITIES, check_graph, loss_set_count, loss_sets
 
 
@@ -33,7 +33,8 @@ class TestCheckGraph:
         with pytest.raises(ValueError, match="unknown identity"):
             check_graph(g, [frozenset()], ("generator",))
 
-    def test_planted_fault_is_located(self, monkeypatch):
+    @staticmethod
+    def _plant_fault(monkeypatch):
         true_value = verify_mod.generator_expectation
 
         def planted(g, i, hypothesis, actual):
@@ -43,9 +44,24 @@ class TestCheckGraph:
             return value
 
         monkeypatch.setattr(verify_mod, "generator_expectation", planted)
+
+    def test_planted_fault_is_located(self, monkeypatch):
+        self._plant_fault(monkeypatch)
         g = generate(FamilySpec("ring", 6))
         result = check_graph(g, loss_sets(g.n, 2, 100), IDENTITIES)
         assert result.loss_sets == 22
         assert result.generator.worst == pytest.approx(1.0)
         assert result.generator.where == ("generator/survivor", g.fingerprint, (1, 4), 3)
         assert result.bell.worst < 1e-9
+
+    @pytest.mark.parametrize("kind,n", [("ring", 6), ("dense-center", 8)])
+    def test_shared_memo_leaves_the_result_unchanged(self, monkeypatch, kind, n):
+        self._plant_fault(monkeypatch)
+        g = generate(FamilySpec(kind, n))
+        shared = check_graph(g, loss_sets(g.n, 2, 100), IDENTITIES)
+        # the same loop with a fresh, memo-free state per loss set
+        monkeypatch.setattr(LossyState, "with_loss",
+                            lambda self, lost: LossyState(self.graph, lost))
+        fresh = check_graph(g, loss_sets(g.n, 2, 100), IDENTITIES)
+        assert shared == fresh
+        assert shared.generator.worst == 1.0
