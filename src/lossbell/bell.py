@@ -9,7 +9,9 @@ cross-check the stabilizer-sum form under the ideal measurement settings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +48,8 @@ def quantum_bound(g: Graph) -> Quad:
 
 @dataclass(frozen=True)
 class WeightedStabilizerSum:
-    """Bell operator as sum(coeff_i * S_i) over all vertex generators.
+    """Bell operator as sum(coeff_i * S_i) over all vertex generators (all
+    survivors' generators, for a survivors' operator).
 
     ``terms`` lists (vertex, coefficient, generator) with the root term
     first, then the root's neighbors, then the remaining vertices, each group
@@ -65,32 +68,83 @@ class WeightedStabilizerSum:
         return total
 
 
+def _coefficients(n_max: int) -> tuple[Quad, Quad, Quad]:
+    """Coefficients of the anchor, its neighbors and every other vertex."""
+    return Quad(0, n_max), SQRT2, Quad(1)
+
+
+@lru_cache(maxsize=None)
+def _float_coefficients(n_max: int) -> tuple[float, float, float]:
+    return tuple(float(c) for c in _coefficients(n_max))
+
+
+def _weighted_vertices(
+    g: Graph,
+    r: int,
+    lost: frozenset[int] | None,
+    coefficients: Callable[[int], tuple[Quad, Quad, Quad] | tuple[float, float, float]],
+) -> list[tuple[int, Quad | float]]:
+    """(vertex, coefficient) of every term in term order: the anchor r, then
+    its surviving neighbors, then the other survivors, each group ascending.
+    The anchor's coefficient uses the survivors' maximum degree."""
+    if lost is None:
+        _require_nondegenerate(g)
+    if not 0 <= r < g.n:
+        raise IndexError(f"vertex {r} out of range")
+    keep = (1 << g.n) - 1
+    if lost is None:
+        if r not in g.roots:
+            raise NotARootError(
+                f"vertex {r} has degree {g.degree(r)}, not the maximum {g.n_max}"
+            )
+        n_max = g.n_max
+    else:
+        for v in lost:
+            if not 0 <= v < g.n:
+                raise ValueError("loss set contains out-of-range vertices")
+            keep &= ~(1 << v)
+        if not keep >> r & 1:
+            raise ValueError(f"anchor vertex {r} is in the loss set")
+        masks = g.adjacency_masks
+        n_max = max((masks[v] & keep).bit_count() for v in range(g.n) if keep >> v & 1)
+        if n_max == 0:
+            raise DegenerateGraphError("the survivors' graph has no edges")
+    c_anchor, c_neighbor, c_other = coefficients(n_max)
+    neighbors = g.adjacency_masks[r] & keep
+    others = keep & ~neighbors & ~(1 << r)
+    return (
+        [(r, c_anchor)]
+        + [(v, c_neighbor) for v in range(g.n) if neighbors >> v & 1]
+        + [(v, c_other) for v in range(g.n) if others >> v & 1]
+    )
+
+
 def bell_stabilizer_sum(
-    g: Graph, r: int, *, allow_non_root: bool = False
+    g: Graph, r: int, *, lost: frozenset[int] | None = None
 ) -> WeightedStabilizerSum:
     """Weighted stabilizer sum anchored at vertex r.
 
-    r must attain the maximum degree; ``allow_non_root=True`` skips that
-    check for callers that deliberately anchor a subgraph operator at a
-    vertex which lost its root status (the coefficient on the anchor term
-    stays sqrt(2)*n_max of this graph).
+    Without ``lost``, the operator of g, and r must attain the maximum
+    degree.  With ``lost`` (possibly empty), the operator of the graph
+    induced on the survivors, on the full register: one term per survivor,
+    its generator from ``stabilizer(g, i, lost=lost)``, and the anchor's
+    coefficient sqrt(2)*n_max of the survivors.  Any survivor may anchor it,
+    whether or not it is a root there.
     """
-    _require_nondegenerate(g)
-    if not 0 <= r < g.n:
-        raise IndexError(f"vertex {r} out of range")
-    if not allow_non_root and r not in g.roots:
-        raise NotARootError(
-            f"vertex {r} has degree {g.degree(r)}, not the maximum {g.n_max}"
-        )
-    nr = g.neighborhood(r)
-    terms = [(r, Quad(0, g.n_max), stabilizer(g, r))]
-    terms += [(i, SQRT2, stabilizer(g, i)) for i in sorted(nr)]
-    terms += [
-        (i, Quad(1), stabilizer(g, i))
-        for i in range(g.n)
-        if i != r and i not in nr
-    ]
-    return WeightedStabilizerSum(g.n, r, g.fingerprint, tuple(terms))
+    terms = tuple(
+        (v, c, stabilizer(g, v, lost=lost or frozenset()))
+        for v, c in _weighted_vertices(g, r, lost, _coefficients)
+    )
+    return WeightedStabilizerSum(g.n, r, g.fingerprint, terms)
+
+
+def bell_weights(
+    g: Graph, r: int, *, lost: frozenset[int] | None = None
+) -> tuple[tuple[int, float], ...]:
+    """``(vertex, float(coefficient))`` of each term of
+    ``bell_stabilizer_sum(g, r, lost=lost)``, in its term order, without
+    building the generators: what the oracle weights generator values by."""
+    return tuple(_weighted_vertices(g, r, lost, _float_coefficients))
 
 
 class MeasurementSetting:

@@ -235,6 +235,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.cap > oracle.MAX_STATE_CAP:
+        raise SizeCapExceededError(
+            f"--cap {args.cap} exceeds {oracle.MAX_STATE_CAP}: a statevector of more "
+            f"qubits and its index vector take over "
+            f"{oracle.STATE_BYTE_BUDGET >> 20} MiB"
+        )
     rng = random.Random(args.seed)
     graphs: list[Graph] = []
     if args.random:

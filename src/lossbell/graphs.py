@@ -25,7 +25,8 @@ DEFAULT_VERTEX_CAP = 10_000
 
 class Graph:
     __slots__ = (
-        "_n", "_edges", "_adj", "_masks", "_n_max", "_roots", "_fingerprint"
+        "_n", "_edges", "_adj", "_masks", "_n_max", "_roots", "_vertices",
+        "_fingerprint",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
@@ -54,8 +55,9 @@ class Graph:
         self._roots = frozenset(
             i for i, degree in enumerate(degrees) if degree == self._n_max
         )
-        digest = hashlib.sha256(f"{n}|{self._edges}".encode()).hexdigest()
-        self._fingerprint = digest[:12]
+        # built on first use
+        self._vertices: frozenset[int] | None = None
+        self._fingerprint: str | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -79,11 +81,16 @@ class Graph:
 
     @property
     def fingerprint(self) -> str:
+        if self._fingerprint is None:
+            text = f"{self._n}|{self._edges}"
+            self._fingerprint = hashlib.sha256(text.encode()).hexdigest()[:12]
         return self._fingerprint
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(range(self._n))
+        if self._vertices is None:
+            self._vertices = frozenset(range(self._n))
+        return self._vertices
 
     @property
     def adjacency_masks(self) -> tuple[int, ...]:

@@ -27,6 +27,12 @@ from .graphs import Graph
 from .pauli import PauliString, stabilizer
 
 DEFAULT_STATE_CAP = 14
+# An n-qubit state holds 2**n complex128 amplitudes (16 bytes each) and reads
+# an int64 index vector of the same length (8 bytes each).  `verify --cap`
+# refuses a cap whose pair would not fit the budget, before building anything;
+# `apply_pauli`'s temporaries come on top of it.
+STATE_BYTE_BUDGET = 1 << 28
+MAX_STATE_CAP = (STATE_BYTE_BUDGET // (16 + 8)).bit_length() - 1
 DENSE_RHO_CAP = 10
 STATE_TOL = 1e-10
 EXPECTATION_TOL = 1e-9
@@ -146,25 +152,18 @@ class LossyState:
         return factor * value
 
     def bell_expectation(
-        self,
-        op: WeightedStabilizerSum | np.ndarray,
-        positions: tuple[int, ...] | None = None,
-        replacement: str = "zero",
+        self, op: WeightedStabilizerSum | np.ndarray, replacement: str = "zero"
     ) -> float:
         """Expectation of a Bell operator on the lossy state.
 
-        ``positions`` embeds an operator built on a smaller register (e.g.
-        the subgraph of the survivors of a hypothesized loss) into this
-        state's qubits.  Dense ndarray operators take the dense-rho path and
-        must respect its lower cap.
+        Dense ndarray operators take the dense-rho path and must respect its
+        lower cap.
         """
         if isinstance(op, np.ndarray):
             rho = dense_lossy_density_matrix(self.graph, self.loss, replacement)
             return dense_expectation(rho, op)
         total = 0.0
         for _, coeff, pauli in op.terms:
-            if positions is not None:
-                pauli = pauli.embed(positions, self.graph.n)
             total += float(coeff) * self.pauli_expectation(pauli, replacement)
         return total
 

@@ -1,9 +1,9 @@
 """Pauli strings in the symplectic (x-bit, z-bit) representation.
 
 Site k of an n-site string carries one of I, X, Y, Z encoded by bit k of two
-integer masks, so products and embeddings are cheap bit arithmetic even
-inside large sweeps.  A global phase ``i**phase_pow`` is tracked through
-multiplication; strings derived from graphs are always real with sign +1.
+integer masks, so products are cheap bit arithmetic even inside large
+sweeps.  A global phase ``i**phase_pow`` is tracked through multiplication;
+strings derived from graphs are always real with sign +1.
 
 String rendering and ``from_letters`` read site 0 as the leftmost letter.
 """
@@ -110,23 +110,6 @@ class PauliString:
         )
         return PauliString(self._n, x, z, phase % 4)
 
-    # -- site surgery -----------------------------------------------------------
-
-    def embed(self, positions: tuple[int, ...], n_full: int) -> PauliString:
-        """Place site k of this string at ``positions[k]`` of a larger register."""
-        positions = tuple(positions)
-        if len(positions) != self._n:
-            raise ValueError("positions must match the string length")
-        if sorted(set(positions)) != list(positions) or not (
-            0 <= positions[0] and positions[-1] < n_full
-        ):
-            raise ValueError("positions must be strictly increasing and in range")
-        x = z = 0
-        for k, pos in enumerate(positions):
-            x |= ((self._x >> k) & 1) << pos
-            z |= ((self._z >> k) & 1) << pos
-        return PauliString(n_full, x, z, self._phase)
-
     # -- dense form ----------------------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
@@ -158,9 +141,21 @@ class PauliString:
         return f"PauliString.from_letters({str(self)!r})"
 
 
-def stabilizer(g: Graph, i: int) -> PauliString:
-    """Generator attached to vertex i: X there, Z on every neighbor."""
-    z = 0
-    for j in g.neighborhood(i):
-        z |= 1 << j
+def stabilizer(g: Graph, i: int, *, lost: frozenset[int] = frozenset()) -> PauliString:
+    """Generator attached to vertex i: X there, Z on every neighbor.
+
+    With ``lost``, the generator of i in the graph induced on the survivors,
+    on the full register: the same string with Z cleared on the lost sites
+    (Hein et al., quant-ph/0602096).  The survivors' graph has no generator
+    for a lost vertex.
+    """
+    if not 0 <= i < g.n:
+        raise IndexError(f"vertex {i} out of range for n={g.n}")
+    if i in lost:
+        raise ValueError(f"vertex {i} is lost; the survivors have no generator for it")
+    z = g.adjacency_masks[i]
+    for v in lost:
+        if not 0 <= v < g.n:
+            raise ValueError("loss set contains out-of-range vertices")
+        z &= ~(1 << v)
     return PauliString(g.n, 1 << i, z)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
 
-from .bell import bell_stabilizer_sum
+from .bell import bell_weights
+from .errors import DegenerateGraphError
 from .graphs import Graph
 from .loss import expectation_after_loss, generator_expectation
 from .oracle import DEFAULT_STATE_CAP, REPLACEMENTS, LossyState
@@ -49,6 +50,16 @@ class VerifyResult:
     loss_sets: int = 0
 
 
+def _weighted_sum(
+    weights: tuple[tuple[int, float], ...], values: list[float] | dict[int, float]
+) -> float:
+    """sum(w * values[v]), accumulated in term order from 0.0."""
+    total = 0.0
+    for v, w in weights:
+        total += w * values[v]
+    return total
+
+
 def check_graph(
     g: Graph, sets: Iterable[frozenset[int]], identities: tuple[str, ...],
     result: VerifyResult | None = None, cap: int = DEFAULT_STATE_CAP,
@@ -61,22 +72,29 @@ def check_graph(
     hypothesis and actual loss ({}, L) for every vertex, (L, L) and (L, {})
     for every survivor; bell/full, /survivor: ``expectation_after_loss`` at
     each surviving root against the full-graph and (if it has an edge) the
-    survivor subgraph's operator; replacement: the spread of each root's
-    full-graph operator over the replacement conventions.  Intact and
-    replacement skip L = {}.  Every loss set's state shares the memo of the
-    intact state, so each distinct survivor Pauli is computed once per call.
+    survivors' operator; replacement: the spread of each root's full-graph
+    operator over the replacement conventions.  Intact and replacement skip
+    L = {}.
+
+    Per loss set each generator is read from the oracle once per replacement
+    convention (the survivors' generators once per state), and every Bell
+    value is the weighted sum of those reads in its operator's term order.
+    Every loss set's state shares the memo of the intact state, so each
+    distinct survivor Pauli is computed from amplitudes once per call.
     """
     on = set(identities)
     if not on <= set(IDENTITIES):
         raise ValueError(f"unknown identity kinds {sorted(on - set(IDENTITIES))}")
     result = VerifyResult() if result is None else result
-    full_ops = {r: bell_stabilizer_sum(g, r) for r in sorted(g.roots)}
+    gens = [stabilizer(g, i) for i in range(g.n)]
+    full_weights = {r: bell_weights(g, r) for r in sorted(g.roots)}
+    reads_full = bool(on & {"generator/full", "bell/full", "replacement"})
+    reads_cut = bool(on & {"generator/survivor", "generator/intact", "bell/survivor"})
+    bells = on & {"bell/full", "bell/survivor"}
     intact = LossyState(g, frozenset(), cap)
     for lost in sets:
         result.loss_sets += 1
         lossy = intact.with_loss(lost)
-        survivors = tuple(sorted(g.vertices - lost))
-        sub, mapping = g.induced_subgraph(survivors)
 
         def record(kind: str, vertex: int, want: float, got: float) -> None:
             tally = getattr(result, kind.partition("/")[0])
@@ -85,30 +103,44 @@ def check_graph(
                 tally.worst = abs(want - got)
                 tally.where = (kind, g.fingerprint, tuple(sorted(lost)), vertex)
 
+        if reads_full:
+            full = [lossy.pauli_expectation(p) for p in gens]
         if "generator/full" in on:
             for i in range(g.n):
                 want = generator_expectation(g, i, frozenset(), lost)
-                got = lossy.pauli_expectation(stabilizer(g, i))
-                record("generator/full", i, want, got)
+                record("generator/full", i, want, full[i])
+        if reads_cut:
+            # the survivors' generators on the full register
+            cut = {i: stabilizer(g, i, lost=lost) for i in range(g.n) if i not in lost}
+            cut_values = {i: lossy.pauli_expectation(p) for i, p in cut.items()}
         if on & {"generator/survivor", "generator/intact"}:
-            for i in survivors:
-                gen = stabilizer(sub, mapping[i]).embed(survivors, g.n)
+            for i, gen in cut.items():
                 if "generator/survivor" in on:
                     want = generator_expectation(g, i, lost, lost)
-                    record("generator/survivor", i, want, lossy.pauli_expectation(gen))
+                    record("generator/survivor", i, want, cut_values[i])
                 if "generator/intact" in on and lost:
                     want = generator_expectation(g, i, lost, frozenset())
                     record("generator/intact", i, want, intact.pauli_expectation(gen))
-        for r, op in full_ops.items():
-            if on & {"bell/full", "bell/survivor"} and r not in lost:
+        cut_weights = {}
+        if "bell/survivor" in on:
+            try:
+                cut_weights = {r: bell_weights(g, r, lost=lost)
+                               for r in full_weights if r not in lost}
+            except DegenerateGraphError:
+                pass  # the survivors' graph has no edge, so no operator
+        if "replacement" in on and lost:
+            by_convention = {x: full if x == "zero" else
+                             [lossy.pauli_expectation(p, x) for p in gens]
+                             for x in REPLACEMENTS}
+        for r, weights in full_weights.items():
+            if bells and r not in lost:
                 want = float(expectation_after_loss(g, r, lost))
                 if "bell/full" in on:
-                    record("bell/full", r, want, lossy.bell_expectation(op))
-                if "bell/survivor" in on and sub.n_max > 0:
-                    sub_op = bell_stabilizer_sum(sub, mapping[r], allow_non_root=True)
-                    got = lossy.bell_expectation(sub_op, positions=survivors)
+                    record("bell/full", r, want, _weighted_sum(weights, full))
+                if r in cut_weights:
+                    got = _weighted_sum(cut_weights[r], cut_values)
                     record("bell/survivor", r, want, got)
             if "replacement" in on and lost:
-                values = [lossy.bell_expectation(op, replacement=x) for x in REPLACEMENTS]
+                values = [_weighted_sum(weights, by_convention[x]) for x in REPLACEMENTS]
                 record("replacement", r, max(values), min(values))
     return result

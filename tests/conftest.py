@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from lossbell import FamilySpec, Graph, Quad, generate, random_connected_graph
+from lossbell import (
+    FamilySpec, Graph, PauliString, Quad, generate, random_connected_graph,
+)
 
 settings.register_profile(
     "default",
@@ -44,6 +46,24 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8):
     n = draw(st.integers(min_n, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_connected_graph(n, random.Random(seed))
+
+
+def embed(p: PauliString, positions: tuple[int, ...], n_full: int) -> PauliString:
+    """Reference: place site k of ``p`` at ``positions[k]`` of an ``n_full``-site
+    register, the way a subgraph's operator was carried to the full register
+    before survivor operators were built on it directly."""
+    positions = tuple(positions)
+    if len(positions) != p.n:
+        raise ValueError("positions must match the string length")
+    if sorted(set(positions)) != list(positions) or not (
+        0 <= positions[0] and positions[-1] < n_full
+    ):
+        raise ValueError("positions must be strictly increasing and in range")
+    x = z = 0
+    for k, pos in enumerate(positions):
+        x |= ((p.x_bits >> k) & 1) << pos
+        z |= ((p.z_bits >> k) & 1) << pos
+    return PauliString(n_full, x, z, p.phase_pow)
 
 
 @pytest.fixture

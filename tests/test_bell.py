@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, embed, graphs
 from lossbell import (
     DegenerateGraphError,
     FamilySpec,
@@ -21,7 +22,7 @@ from lossbell import (
     generic_bell_operator,
     quantum_bound,
 )
-from lossbell.bell import stabilizer_sum_matrix
+from lossbell.bell import bell_weights, stabilizer_sum_matrix
 
 
 class TestBounds:
@@ -71,7 +72,8 @@ class TestStabilizerSum:
     def test_non_root_rejected(self, star4):
         with pytest.raises(NotARootError):
             bell_stabilizer_sum(star4, 1)
-        op = bell_stabilizer_sum(star4, 1, allow_non_root=True)
+        # the survivors' operator may anchor anywhere, even with nothing lost
+        op = bell_stabilizer_sum(star4, 1, lost=frozenset())
         assert op.root == 1
 
     @given(connected_graphs())
@@ -94,6 +96,81 @@ class TestStabilizerSum:
             )
         expected = +expected
         assert counts == expected
+
+
+@st.composite
+def graphs_with_loss(draw):
+    """A graph with n <= 10 and a loss set that keeps a vertex: drawn at
+    random, or one that loses every root, or one that leaves no edge."""
+    g = draw(graphs(min_n=2, max_n=10))
+    how = draw(st.sampled_from(("random", "random", "every root", "no edge")))
+    if how == "every root" and len(g.roots) < g.n:
+        extra = draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+        lost = set(g.roots) | extra
+        while len(lost) >= g.n:
+            lost.discard(max(lost - g.roots))
+    elif how == "no edge":  # keep an independent set, in a drawn order
+        kept: set[int] = set()
+        for v in draw(st.permutations(range(g.n))):
+            if not g.neighborhood(v) & kept:
+                kept.add(v)
+        lost = set(range(g.n)) - kept
+    else:
+        lost = draw(st.sets(st.integers(0, g.n - 1), max_size=g.n - 1))
+    return g, frozenset(lost)
+
+
+class TestSurvivorOperator:
+    """``bell_stabilizer_sum(g, r, lost=L)`` on the full register against the
+    operator of the induced subgraph, embedded site by site."""
+
+    @given(graphs_with_loss())
+    def test_equals_the_embedded_subgraph_operator(self, gl):
+        g, lost = gl
+        survivors = tuple(sorted(g.vertices - lost))
+        sub, mapping = g.induced_subgraph(survivors)
+        for a in survivors:
+            if sub.n_max == 0:
+                with pytest.raises(DegenerateGraphError):
+                    bell_stabilizer_sum(g, a, lost=lost)
+                with pytest.raises(DegenerateGraphError):
+                    bell_weights(g, a, lost=lost)
+                continue
+            ref = bell_stabilizer_sum(sub, mapping[a], lost=frozenset())
+            want = [(survivors[v], c, embed(p, survivors, g.n)) for v, c, p in ref.terms]
+            op = bell_stabilizer_sum(g, a, lost=lost)
+            assert (op.n, op.root) == (g.n, a)
+            assert list(op.terms) == want
+            assert bell_weights(g, a, lost=lost) == tuple(
+                (v, float(c)) for v, c, _ in want
+            )
+
+    @given(connected_graphs(max_n=10))
+    def test_no_loss_is_the_graphs_operator(self, g):
+        for r in sorted(g.roots):
+            op = bell_stabilizer_sum(g, r)
+            assert bell_stabilizer_sum(g, r, lost=frozenset()) == op
+            assert bell_weights(g, r) == tuple((v, float(c)) for v, c, _ in op.terms)
+
+    def test_anchor_weight_is_the_survivors_n_max(self, two_hub8):
+        # hub 1 lost: hub 0 keeps degree 3; pendant 2 anchors with sqrt2*3
+        op = bell_stabilizer_sum(two_hub8, 2, lost=frozenset({1}))
+        assert [(v, c) for v, c, _ in op.terms] == [
+            (2, Quad(0, 3)), (0, SQRT2), (3, Quad(1)), (4, Quad(1)),
+            (5, Quad(1)), (6, Quad(1)), (7, Quad(1)),
+        ]
+        assert op.terms[1][2].letters == "XIZZZIII"  # Z on the lost hub cleared
+        # both hubs lost: the pendants survive with no edge among them
+        with pytest.raises(DegenerateGraphError):
+            bell_stabilizer_sum(two_hub8, 2, lost=frozenset({0, 1}))
+
+    def test_bad_loss_sets(self, star4):
+        with pytest.raises(ValueError, match="anchor vertex 0 is in the loss set"):
+            bell_stabilizer_sum(star4, 0, lost=frozenset({0}))
+        with pytest.raises(ValueError, match="out-of-range"):
+            bell_weights(star4, 0, lost=frozenset({7}))
+        with pytest.raises(IndexError):
+            bell_stabilizer_sum(star4, 4, lost=frozenset())
 
 
 def _deterministic_max_score(g: Graph, r: int) -> int:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lossbell import oracle
 from lossbell.cli import main, parse_distribution
 from lossbell.errors import DistributionError
 
@@ -290,6 +291,38 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
         assert out.splitlines()[1] == "checked 1 of 1 loss sets"
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "ring", "--n", "30", "--cap", "30", "--max-loss", "0"),
+        ("--random", "1", "--n", "6", "--cap", "24"),
+        ("--family", "star", "--n", "6", "--cap", str(10**9)),
+    ])
+    def test_cap_over_the_byte_budget(self, capsys, monkeypatch, argv):
+        import lossbell.cli as cli_mod
+        import lossbell.oracle as oracle_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph drawn or state built before the cap check")
+
+        monkeypatch.setattr(oracle_mod, "graph_state", refuse)
+        monkeypatch.setattr(cli_mod, "random_connected_graph", refuse)
+        monkeypatch.setattr(cli_mod, "generate", refuse)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        cap = argv[argv.index("--cap") + 1]
+        assert err == (f"error: --cap {cap} exceeds 23: a statevector of more qubits "
+                       f"and its index vector take over 256 MiB\n")
+
+    def test_cap_at_the_byte_budget(self, capsys):
+        assert oracle.MAX_STATE_CAP == 23
+        assert (16 + 8) << 23 <= oracle.STATE_BYTE_BUDGET < (16 + 8) << 24
+        code, out, _ = run(
+            capsys, "verify", "--family", "star", "--n", "6", "--cap", "23",
+            "--max-loss", "1",
+        )
+        assert code == 0
+        assert "PASS" in out
 
     def test_cap_exit_code(self, capsys):
         code, _, err = run(

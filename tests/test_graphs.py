@@ -115,6 +115,14 @@ class TestConstruction:
         assert ring6.fingerprint == Graph(6, [(i, (i + 1) % 6) for i in range(6)]).fingerprint
         assert ring6.fingerprint != Graph(6, [(0, 1)]).fingerprint
 
+    def test_lazy_fields_keep_their_values(self, ring6):
+        # built on first use; the same values as when built with the graph
+        g = Graph(3, [(1, 0)])
+        assert g.fingerprint == "55ab4a2c08b4"
+        assert ring6.fingerprint == "2d7a04ec06fe"
+        assert g.vertices == frozenset({0, 1, 2}) and g.vertices is g.vertices
+        assert g == Graph(3, [(0, 1)]) and hash(g) == hash(Graph(3, [(0, 1)]))
+
 
 class TestTextFormats:
     def test_json_roundtrip(self, two_centered12):

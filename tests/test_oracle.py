@@ -154,12 +154,10 @@ class TestSharedMemo:
                     for p in gens + elements]
         randoms = data.draw(st.lists(pauli_strings(g.n), min_size=1, max_size=6))
         paulis = gens + elements + rephased + randoms
-        survivors = tuple(sorted(g.vertices - lost))
-        sub, mapping = g.induced_subgraph(survivors)
-        ops = [(bell_stabilizer_sum(g, r), None) for r in sorted(g.roots)]
+        sub, _ = g.induced_subgraph(g.vertices - lost)
+        ops = [bell_stabilizer_sum(g, r) for r in sorted(g.roots)]
         if sub.n_max > 0:
-            ops += [(bell_stabilizer_sum(sub, mapping[r], allow_non_root=True), survivors)
-                    for r in sorted(g.roots - lost)]
+            ops += [bell_stabilizer_sum(g, r, lost=lost) for r in sorted(g.roots - lost)]
 
         intact = LossyState(g, frozenset())
         for state in (intact.with_loss(earlier), intact):  # fill the memo first
@@ -171,11 +169,9 @@ class TestSharedMemo:
             for p in paulis:
                 fresh = LossyState(g, lost)
                 assert shared.pauli_expectation(p, x) == fresh.pauli_expectation(p, x)
-            for op, positions in ops:
+            for op in ops:
                 fresh = LossyState(g, lost)
-                assert shared.bell_expectation(op, positions, x) == (
-                    fresh.bell_expectation(op, positions, x)
-                )
+                assert shared.bell_expectation(op, x) == fresh.bell_expectation(op, x)
 
     def test_with_loss_validates(self, star4):
         intact = LossyState(star4, frozenset())

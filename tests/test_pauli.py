@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import embed, graphs
 from lossbell import Graph, PauliString, stabilizer
 
 
@@ -117,9 +117,19 @@ class TestRestriction:
         for i in survivors:
             full = stabilizer(g, i)
             cleared = PauliString(g.n, full.x_bits, full.z_bits & ~lost_mask)
-            assert stabilizer(sub, mapping[i]).embed(survivors, g.n) == cleared
+            assert embed(stabilizer(sub, mapping[i]), survivors, g.n) == cleared
+            assert stabilizer(g, i, lost=lost) == cleared
 
     def test_embed_restrict_roundtrip(self):
         p = PauliString.from_letters("XZY")
-        embedded = p.embed((1, 3, 4), 6)
+        embedded = embed(p, (1, 3, 4), 6)
         assert embedded.letters == "IXIZYI"
+
+    def test_survivor_generator_validates(self, star4):
+        assert stabilizer(star4, 0, lost=frozenset({1, 3})).letters == "XIZI"
+        with pytest.raises(ValueError, match="lost"):
+            stabilizer(star4, 1, lost=frozenset({1}))
+        with pytest.raises(ValueError, match="out-of-range"):
+            stabilizer(star4, 0, lost=frozenset({4}))
+        with pytest.raises(IndexError):
+            stabilizer(star4, -1)
