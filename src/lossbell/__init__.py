@@ -32,7 +32,6 @@ from .loss import (
     critical_sets,
     expectation_after_loss,
     generator_expectation,
-    induced_operator_expectation,
     loss_size_sweep,
     max_tolerable_loss,
     mixture_expectation,
@@ -80,7 +79,6 @@ __all__ = [
     "generator_expectation",
     "generic_bell_operator",
     "graph_state",
-    "induced_operator_expectation",
     "leaf_groups",
     "loss_size_sweep",
     "max_tolerable_loss",

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateGraphError, NotARootError, SizeCapExceededError
-from .graphs import Graph
+from .graphs import Graph, members
 from .pauli import PauliString, stabilizer
 from .quad import SQRT2, Quad
 
@@ -34,10 +34,35 @@ def _require_nondegenerate(g: Graph) -> None:
         )
 
 
-def classical_bound(g: Graph) -> Quad:
-    """Best score of local deterministic strategies: n_max + N - 1."""
-    _require_nondegenerate(g)
-    return Quad(g.n_max + g.n - 1)
+def require_root(g: Graph, r: int) -> None:
+    """Raise unless r is a vertex of maximum degree."""
+    if not 0 <= r < g.n:
+        raise IndexError(f"vertex {r} out of range")
+    if r not in g.roots:
+        raise NotARootError(
+            f"vertex {r} has degree {g.degree(r)}, not the maximum {g.n_max}"
+        )
+
+
+def survivors_n_max(g: Graph, lost: int) -> int:
+    """Maximum degree of the graph induced on the vertices not in the mask
+    ``lost``; the bound formulas need it to be at least 1."""
+    n_max = max(g.survivor_degrees(lost).values())
+    if n_max == 0:
+        raise DegenerateGraphError("the survivors' graph has no edges")
+    return n_max
+
+
+def classical_bound(g: Graph, *, lost: frozenset[int] | None = None) -> Quad:
+    """Best score of local deterministic strategies: n_max + N - 1.
+
+    With ``lost``, that of the graph induced on the survivors.
+    """
+    if lost is None:
+        _require_nondegenerate(g)
+        return Quad(g.n_max + g.n - 1)
+    lost_mask = g.loss_mask(lost)
+    return Quad(survivors_n_max(g, lost_mask) + g.n - lost_mask.bit_count() - 1)
 
 
 def quantum_bound(g: Graph) -> Quad:
@@ -89,33 +114,22 @@ def _weighted_vertices(
     The anchor's coefficient uses the survivors' maximum degree."""
     if lost is None:
         _require_nondegenerate(g)
-    if not 0 <= r < g.n:
-        raise IndexError(f"vertex {r} out of range")
-    keep = (1 << g.n) - 1
-    if lost is None:
-        if r not in g.roots:
-            raise NotARootError(
-                f"vertex {r} has degree {g.degree(r)}, not the maximum {g.n_max}"
-            )
-        n_max = g.n_max
+        require_root(g, r)
+        lost_mask, n_max = 0, g.n_max
     else:
-        for v in lost:
-            if not 0 <= v < g.n:
-                raise ValueError("loss set contains out-of-range vertices")
-            keep &= ~(1 << v)
-        if not keep >> r & 1:
+        if not 0 <= r < g.n:
+            raise IndexError(f"vertex {r} out of range")
+        lost_mask = g.loss_mask(lost)
+        if lost_mask >> r & 1:
             raise ValueError(f"anchor vertex {r} is in the loss set")
-        masks = g.adjacency_masks
-        n_max = max((masks[v] & keep).bit_count() for v in range(g.n) if keep >> v & 1)
-        if n_max == 0:
-            raise DegenerateGraphError("the survivors' graph has no edges")
+        n_max = survivors_n_max(g, lost_mask)
     c_anchor, c_neighbor, c_other = coefficients(n_max)
-    neighbors = g.adjacency_masks[r] & keep
-    others = keep & ~neighbors & ~(1 << r)
+    neighbors = g.adjacency_masks[r] & ~lost_mask
+    others = ((1 << g.n) - 1) & ~lost_mask & ~neighbors & ~(1 << r)
     return (
         [(r, c_anchor)]
-        + [(v, c_neighbor) for v in range(g.n) if neighbors >> v & 1]
-        + [(v, c_other) for v in range(g.n) if others >> v & 1]
+        + [(v, c_neighbor) for v in members(neighbors)]
+        + [(v, c_other) for v in members(others)]
     )
 
 

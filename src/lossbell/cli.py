@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import loss as loss_mod
 from . import oracle
+from .bell import require_root
 from .errors import (
     BudgetExceededError,
     DistributionError,
@@ -313,7 +314,7 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # parametric single-loss model over a p grid
-    loss_mod._require_root(g, root)
+    require_root(g, root)
     candidates = tuple(sorted(_resolve_candidates(args, g) - {root}))
     if not candidates:
         raise DistributionError("no loss candidates for the single-loss model")

@@ -1,11 +1,13 @@
 """Simple undirected graphs with the neighborhood/root/induced-subgraph
 vocabulary used by the analysis.
 
-Vertices are integers 0..n-1.  Graphs are immutable after construction and
-hashable, so they can key caches inside sweeps.  Two text formats are
-understood by :meth:`Graph.parse`: a JSON document ``{"n": 5, "edges":
-[[0, 1], ...]}`` and a plain edge list ("i j" per line) with an ``n=<N>``
-header line.
+Vertices are integers 0..n-1.  Vertex sets on the hot path are int bitmasks
+(bit v is set iff v is in the set): each neighborhood is held only as one,
+and `Graph.loss_mask` is the one place a loss set is checked and turned into
+one.  Graphs are immutable after construction and hashable, so they can key
+caches inside sweeps.  Two text formats are understood by
+:meth:`Graph.parse`: a JSON document ``{"n": 5, "edges": [[0, 1], ...]}``
+and a plain edge list ("i j" per line) with an ``n=<N>`` header line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ DEFAULT_VERTEX_CAP = 10_000
 
 class Graph:
     __slots__ = (
-        "_n", "_edges", "_adj", "_masks", "_n_max", "_roots", "_vertices",
+        "_n", "_edges", "_masks", "_n_max", "_roots", "_vertices",
         "_fingerprint",
     )
 
@@ -41,16 +43,12 @@ class Graph:
             normalized.add((min(i, j), max(i, j)))
         self._n = n
         self._edges = tuple(sorted(normalized))
-        adj = [set() for _ in range(n)]
         masks = [0] * n
         for i, j in self._edges:
-            adj[i].add(j)
-            adj[j].add(i)
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self._adj = tuple(frozenset(s) for s in adj)
         self._masks = tuple(masks)
-        degrees = [len(s) for s in adj]
+        degrees = [mask.bit_count() for mask in masks]
         self._n_max = max(degrees)
         self._roots = frozenset(
             i for i, degree in enumerate(degrees) if degree == self._n_max
@@ -97,30 +95,54 @@ class Graph:
         """Neighborhoods as bitmasks: bit j of entry i is set iff i ~ j."""
         return self._masks
 
-    def degree(self, i: int) -> int:
-        return len(self.neighborhood(i))
-
-    def neighborhood(self, i: int) -> frozenset[int]:
+    def _mask_of(self, i: int) -> int:
         if not 0 <= i < self._n:
             raise IndexError(f"vertex {i} out of range for n={self._n}")
-        return self._adj[i]
+        return self._masks[i]
 
-    def closed_neighborhood(self, i: int) -> frozenset[int]:
-        return self.neighborhood(i) | {i}
+    def degree(self, i: int) -> int:
+        return self._mask_of(i).bit_count()
+
+    def neighborhood(self, i: int) -> frozenset[int]:
+        return frozenset(members(self._mask_of(i)))
 
     def leaves(self) -> tuple[int, ...]:
         """Degree-1 vertices, in index order."""
-        return tuple(i for i in range(self._n) if len(self._adj[i]) == 1)
+        return tuple(i for i, mask in enumerate(self._masks) if mask.bit_count() == 1)
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self._adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self._n
+        masks = self._masks
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            for v in members(frontier):
+                reached |= masks[v]
+            frontier = reached & ~seen
+            seen |= frontier
+        return seen == (1 << self._n) - 1
+
+    def loss_mask(self, loss: Iterable[int]) -> int:
+        """Mask of the loss set ``loss``: a member that is not a vertex, or a
+        loss of every vertex, is a `ValueError`."""
+        loss = frozenset(loss)
+        if not loss <= self.vertices:
+            raise ValueError("loss set contains out-of-range vertices")
+        if len(loss) >= self._n:
+            raise ValueError("losing every qubit is not allowed")
+        mask = 0
+        for v in loss:
+            mask |= 1 << v
+        return mask
+
+    def survivor_degrees(self, lost: int) -> dict[int, int]:
+        """Degree of each vertex not in the mask ``lost``, in the graph
+        induced on those vertices, in index order."""
+        keep = ((1 << self._n) - 1) & ~lost
+        return {
+            v: (mask & keep).bit_count()
+            for v, mask in enumerate(self._masks)
+            if keep >> v & 1
+        }
 
     def induced_subgraph(
         self, keep: Iterable[int]
@@ -231,6 +253,16 @@ class Graph:
             return cls(n, edges)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from exc
+
+
+def members(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def random_connected_graph(

@@ -17,35 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .bell import classical_bound, quantum_bound
-from .errors import (
-    BudgetExceededError,
-    DegenerateGraphError,
-    DistributionError,
-    NotARootError,
-)
-from .graphs import Graph
+from .bell import classical_bound, quantum_bound, require_root, survivors_n_max
+from .errors import BudgetExceededError, DegenerateGraphError, DistributionError
+from .graphs import Graph, members
 from .quad import Quad
 
 SUBSET_BUDGET = 10**6
-
-
-def _validate_loss(g: Graph, loss: frozenset[int]) -> frozenset[int]:
-    loss = frozenset(loss)
-    if not loss <= g.vertices:
-        raise ValueError("loss set contains out-of-range vertices")
-    if len(loss) >= g.n:
-        raise ValueError("losing every qubit is not allowed")
-    return loss
-
-
-def _require_root(g: Graph, r: int) -> None:
-    if not 0 <= r < g.n:
-        raise IndexError(f"vertex {r} out of range")
-    if r not in g.roots:
-        raise NotARootError(
-            f"vertex {r} has degree {g.degree(r)}, not the maximum {g.n_max}"
-        )
 
 
 @dataclass(frozen=True)
@@ -55,36 +32,12 @@ class WTSets:
     root_hit: bool
 
 
-# Vertex sets on the hot path are int bitmasks: bit v is set iff v is in the set.
-
-
-def _mask(vertices: frozenset[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _complement(g: Graph, mask: int) -> int:
-    return ((1 << g.n) - 1) & ~mask
-
-
-def _members(mask: int) -> list[int]:
-    """The vertices of a mask, ascending."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return members
-
-
 def _alive(g: Graph, hypothesis: int, actual: int) -> int:
     """Mask of the vertices whose generator of the subgraph surviving
     ``hypothesis`` keeps expectation 1 on the state that actually lost
     ``actual``: every vertex not in either set and not adjacent to a vertex
     of either set.  Every other surviving generator has expectation 0.  Both
-    masks must be validated by the caller.
+    masks must come from `Graph.loss_mask`.
     """
     adj = g.adjacency_masks
     dead = rest = actual | hypothesis
@@ -92,7 +45,7 @@ def _alive(g: Graph, hypothesis: int, actual: int) -> int:
         low = rest & -rest
         dead |= adj[low.bit_length() - 1]
         rest ^= low
-    return _complement(g, dead)
+    return ((1 << g.n) - 1) & ~dead
 
 
 def _counts(g: Graph, r: int, alive: int) -> tuple[int, int, bool]:
@@ -112,15 +65,6 @@ def _bell_value(w: int, t: int, root_hit: bool, anchor_weight: int) -> Quad:
     return Quad(t, w + (0 if root_hit else anchor_weight))
 
 
-def _survivor_degrees(g: Graph, keep: int) -> dict[int, int]:
-    """Degree of each vertex of ``keep`` in the subgraph that ``keep`` induces."""
-    return {
-        v: (adj & keep).bit_count()
-        for v, adj in enumerate(g.adjacency_masks)
-        if keep >> v & 1
-    }
-
-
 def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
     """Counting sets for the post-loss expectation at root r.
 
@@ -128,12 +72,12 @@ def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
     T: vertices outside both those closed neighborhoods and r's own.
     root_hit: whether the loss touches r's closed neighborhood.
     """
-    _require_root(g, r)
-    alive = _alive(g, 0, _mask(_validate_loss(g, loss)))
+    require_root(g, r)
+    alive = _alive(g, 0, g.loss_mask(loss))
     nr = g.adjacency_masks[r]
     return WTSets(
-        frozenset(_members(alive & nr)),
-        frozenset(_members(alive & ~nr & ~(1 << r))),
+        frozenset(members(alive & nr)),
+        frozenset(members(alive & ~nr & ~(1 << r))),
         not alive >> r & 1,
     )
 
@@ -147,8 +91,8 @@ def expectation_after_loss(g: Graph, r: int, loss: frozenset[int]) -> Quad:
     surviving subgraph; for r in the loss set it applies to the full-graph
     operator only.
     """
-    _require_root(g, r)
-    alive = _alive(g, 0, _mask(_validate_loss(g, loss)))
+    require_root(g, r)
+    alive = _alive(g, 0, g.loss_mask(loss))
     return _bell_value(*_counts(g, r, alive), g.n_max)
 
 
@@ -163,35 +107,16 @@ def generator_expectation(
     actual`` gives the surviving subgraph's generator on the post-loss state;
     an empty ``actual`` gives it on the intact state.
     """
-    hypothesis = _validate_loss(g, hypothesis)
-    actual = _validate_loss(g, actual)
-    if i in hypothesis:
+    hyp = g.loss_mask(hypothesis)
+    alive = _alive(g, hyp, g.loss_mask(actual))
+    if not 0 <= i < g.n:
+        raise IndexError(f"vertex {i} out of range")
+    if hyp >> i & 1:
         raise ValueError(
             f"vertex {i} is in the hypothesized loss set; "
             "the surviving subgraph has no generator for it"
         )
-    if not 0 <= i < g.n:
-        raise IndexError(f"vertex {i} out of range")
-    return _alive(g, _mask(hypothesis), _mask(actual)) >> i & 1
-
-
-def induced_operator_expectation(
-    g: Graph, r: int, hypothesis: frozenset[int], actual: frozenset[int]
-) -> Quad:
-    """Exact expectation of the subgraph Bell operator anchored at r.
-
-    The operator belongs to the subgraph surviving ``hypothesis`` (anchor
-    coefficient sqrt(2)*n_max of that subgraph, whether or not r kept root
-    status there); the state is the one that actually lost ``actual``.
-    """
-    hypothesis = _validate_loss(g, hypothesis)
-    if r in hypothesis:
-        raise ValueError("anchor vertex is in the hypothesized loss set")
-    sub, _ = g.induced_subgraph(g.vertices - hypothesis)
-    if sub.n_max == 0:
-        raise DegenerateGraphError("surviving subgraph has no edges")
-    alive = _alive(g, _mask(hypothesis), _mask(_validate_loss(g, actual)))
-    return _bell_value(*_counts(g, r, alive), sub.n_max)
+    return alive >> i & 1
 
 
 # -- violation reports -------------------------------------------------------
@@ -282,18 +207,17 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
     report instead anchors at the surviving subgraph's own maximum-degree
     vertices; those records carry scope "induced-only".
     """
-    loss = _validate_loss(g, loss)
+    lost = g.loss_mask(loss)
     full_bound = classical_bound(g)
     quantum = quantum_bound(g)
-    lost = _mask(loss)
-    degrees = _survivor_degrees(g, _complement(g, lost))
+    degrees = g.survivor_degrees(lost)
     induced_n_max = max(degrees.values())
     # classical_bound of the survivor subgraph, undefined when it has no edges
     induced_bound = (
         None if induced_n_max == 0 else Quad(induced_n_max + len(degrees) - 1)
     )
     alive = _alive(g, 0, lost)
-    surviving_roots = sorted(r for r in g.roots if r not in loss)
+    surviving_roots = sorted(r for r in g.roots if not lost >> r & 1)
     records = []
     if surviving_roots:
         for r in surviving_roots:
@@ -338,8 +262,8 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
         n=g.n,
         n_max=g.n_max,
         connected=g.is_connected(),
-        loss=tuple(sorted(loss)),
-        any_root_lost=any(r in loss for r in g.roots),
+        loss=tuple(members(lost)),
+        any_root_lost=len(surviving_roots) < len(g.roots),
         full_bound=full_bound,
         quantum=quantum,
         induced_bound=induced_bound,
@@ -380,11 +304,13 @@ def root_loss_check(g: Graph, r_lost: int) -> RootLossCheck:
     returned.  When the surviving subgraph has no edges its bound is
     undefined and only the original-bound margin is checked.
     """
-    _require_root(g, r_lost)
+    require_root(g, r_lost)
     loss = frozenset({r_lost})
     full_bound = classical_bound(g)
-    sub, _ = g.induced_subgraph(g.vertices - loss)
-    induced_bound = None if sub.n_max == 0 else classical_bound(sub)
+    try:
+        induced_bound = classical_bound(g, lost=loss)
+    except DegenerateGraphError:  # the survivors' graph has no edges
+        induced_bound = None
     others = sorted(g.roots - loss)
     targets = others if others else [r_lost]
     entries = []
@@ -477,14 +403,13 @@ def _verdict(g: Graph, bound: str) -> Callable[[int], bool]:
     roots = sorted(g.roots)
 
     def verdict(lost: int) -> bool:
-        keep = _complement(g, lost)
-        anchors = [r for r in roots if keep >> r & 1]
+        anchors = [r for r in roots if not lost >> r & 1]
         weight = g.n_max
         if bound == "full":
             # with every root lost, no record counts against this bound
             score = g.n_max + g.n - 1  # classical_bound(g)
         else:
-            degrees = _survivor_degrees(g, keep)
+            degrees = g.survivor_degrees(lost)
             sub_n_max = max(degrees.values())
             if sub_n_max == 0:  # the survivor bound is undefined
                 return False
@@ -535,9 +460,9 @@ def loss_size_sweep(
             if verdict(lost):
                 n_violating += 1
                 if witness is None:
-                    witness = _subset_outcome(g, tuple(_members(lost)), bound)
+                    witness = _subset_outcome(g, tuple(members(lost)), bound)
             elif counterexample is None:
-                counterexample = _subset_outcome(g, tuple(_members(lost)), bound)
+                counterexample = _subset_outcome(g, tuple(members(lost)), bound)
         rows.append(
             SweepRow(
                 size=k,
@@ -621,7 +546,7 @@ def critical_sets(
                 continue
             if not verdict(lost):
                 minimal.append(lost)
-    return [frozenset(_members(m)) for m in minimal]
+    return [frozenset(members(m)) for m in minimal]
 
 
 # -- mixtures of loss realizations -----------------------------------------------
@@ -673,19 +598,16 @@ def mixture_expectation(
     """
     total = Quad(0)
     if hypothesis is None:
-        _require_root(g, root)
+        require_root(g, root)
         for prob, realization in dist.entries:
             total = total + expectation_after_loss(g, root, realization) * prob
     else:
-        hypothesis = _validate_loss(g, hypothesis)
+        hyp = g.loss_mask(hypothesis)
         if root in hypothesis:
             raise ValueError("anchor vertex is in the hypothesized loss set")
-        hyp = _mask(hypothesis)
-        n_max = max(_survivor_degrees(g, _complement(g, hyp)).values())
-        if n_max == 0:
-            raise DegenerateGraphError("surviving subgraph has no edges")
+        n_max = survivors_n_max(g, hyp)
         for prob, realization in dist.entries:
-            alive = _alive(g, hyp, _mask(_validate_loss(g, realization)))
+            alive = _alive(g, hyp, g.loss_mask(realization))
             total = total + _bell_value(*_counts(g, root, alive), n_max) * prob
     return total
 
@@ -732,11 +654,9 @@ def single_loss_mixture_curve(
 ) -> MixtureCurve:
     """Margins of the full-graph and hypothesis-subgraph operators across a
     grid of single-loss probabilities, plus their exact crossover."""
-    _require_root(g, root)
-    hypothesis = _validate_loss(g, hypothesis)
+    require_root(g, root)
+    induced_bound = classical_bound(g, lost=hypothesis)
     full_bound = classical_bound(g)
-    sub, _ = g.induced_subgraph(g.vertices - hypothesis)
-    induced_bound = classical_bound(sub)
 
     def margins(p: Fraction) -> tuple[Quad, Quad, Quad, Quad]:
         dist = LossDistribution.single_loss_model(candidates, p)
@@ -762,7 +682,7 @@ def single_loss_mixture_curve(
         in_unit = Quad(0) < crossover < Quad(1)
     return MixtureCurve(
         root=root,
-        hypothesis=tuple(sorted(hypothesis)),
+        hypothesis=tuple(sorted(frozenset(hypothesis))),
         candidates=tuple(candidates),
         full_bound=full_bound,
         induced_bound=induced_bound,

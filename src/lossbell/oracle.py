@@ -10,8 +10,7 @@ Conventions
 * Qubit k is bit k of the basis-state index (qubit 0 = least significant).
 * Lossy expectations use the product identity
   <P>_rho = <phi| P restricted to survivors |phi> * prod over lost sites of
-  <s|P_site|s>, where |s> is the single-qubit replacement state.  The dense
-  density-matrix path exists only as a second opinion and is capped lower.
+  <s|P_site|s>, where |s> is the single-qubit replacement state.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ DEFAULT_STATE_CAP = 14
 # `apply_pauli`'s temporaries come on top of it.
 STATE_BYTE_BUDGET = 1 << 28
 MAX_STATE_CAP = (STATE_BYTE_BUDGET // (16 + 8)).bit_length() - 1
-DENSE_RHO_CAP = 10
 STATE_TOL = 1e-10
 EXPECTATION_TOL = 1e-9
 
@@ -118,15 +116,8 @@ class LossyState:
         return other
 
     def _set_loss(self, loss: frozenset[int]) -> None:
-        loss = frozenset(loss)
-        if not loss <= self.graph.vertices:
-            raise ValueError("loss set contains out-of-range vertices")
-        if len(loss) >= self.graph.n:
-            raise ValueError("losing every qubit is not allowed")
-        self.loss = loss
-        self._loss_mask = 0
-        for l in loss:
-            self._loss_mask |= 1 << l
+        self._loss_mask = self.graph.loss_mask(loss)
+        self.loss = frozenset(loss)
 
     def pauli_expectation(self, p: PauliString, replacement: str = "zero") -> float:
         if p.n != self.graph.n:
@@ -152,67 +143,13 @@ class LossyState:
         return factor * value
 
     def bell_expectation(
-        self, op: WeightedStabilizerSum | np.ndarray, replacement: str = "zero"
+        self, op: WeightedStabilizerSum, replacement: str = "zero"
     ) -> float:
-        """Expectation of a Bell operator on the lossy state.
-
-        Dense ndarray operators take the dense-rho path and must respect its
-        lower cap.
-        """
-        if isinstance(op, np.ndarray):
-            rho = dense_lossy_density_matrix(self.graph, self.loss, replacement)
-            return dense_expectation(rho, op)
+        """Expectation of a weighted stabilizer sum on the lossy state."""
         total = 0.0
         for _, coeff, pauli in op.terms:
             total += float(coeff) * self.pauli_expectation(pauli, replacement)
         return total
-
-
-def dense_lossy_density_matrix(
-    g: Graph,
-    loss: frozenset[int],
-    replacement: str = "zero",
-    cap: int = DENSE_RHO_CAP,
-) -> np.ndarray:
-    """Materialize the full post-loss density matrix (second-opinion path)."""
-    if g.n > cap:
-        raise SizeCapExceededError(f"n={g.n} exceeds dense-rho cap {cap}")
-    if replacement not in REPLACEMENTS:
-        raise ValueError(f"unknown replacement {replacement!r}")
-    loss = frozenset(loss)
-    psi = graph_state(g)
-    kept = [i for i in range(g.n) if i not in loss]
-    lost = sorted(loss)
-    if not lost:
-        return np.outer(psi, psi.conj())
-
-    # permuted layout: kept sites at the low bits, lost sites above them
-    dim = 1 << g.n
-    idx = _indices(dim)
-    perm = np.zeros(dim, dtype=np.int64)
-    for new_pos, old_pos in enumerate(kept + lost):
-        perm |= ((idx >> old_pos) & 1) << new_pos
-    psi_perm = np.zeros(dim, dtype=complex)
-    psi_perm[perm] = psi
-    m = psi_perm.reshape(1 << len(lost), 1 << len(kept))
-    sigma = m.T @ m.conj()
-
-    if replacement == "zero":
-        single = np.array([[1, 0], [0, 0]], dtype=complex)
-    elif replacement == "one":
-        single = np.array([[0, 0], [0, 1]], dtype=complex)
-    else:
-        single = np.eye(2, dtype=complex) / 2
-    rep = np.array([[1]], dtype=complex)
-    for _ in lost:
-        rep = np.kron(rep, single)
-
-    rho_perm = np.kron(rep, sigma)
-    return rho_perm[np.ix_(perm, perm)]
-
-
-def dense_expectation(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.trace(rho @ op).real)
 
 
 def basis_block_weights(state: np.ndarray, sites: frozenset[int]) -> np.ndarray:

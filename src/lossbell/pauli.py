@@ -151,11 +151,7 @@ def stabilizer(g: Graph, i: int, *, lost: frozenset[int] = frozenset()) -> Pauli
     """
     if not 0 <= i < g.n:
         raise IndexError(f"vertex {i} out of range for n={g.n}")
-    if i in lost:
+    lost_mask = g.loss_mask(lost)
+    if lost_mask >> i & 1:
         raise ValueError(f"vertex {i} is lost; the survivors have no generator for it")
-    z = g.adjacency_masks[i]
-    for v in lost:
-        if not 0 <= v < g.n:
-            raise ValueError("loss set contains out-of-range vertices")
-        z &= ~(1 << v)
-    return PauliString(g.n, 1 << i, z)
+    return PauliString(g.n, 1 << i, g.adjacency_masks[i] & ~lost_mask)

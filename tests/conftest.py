@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from lossbell import (
-    FamilySpec, Graph, PauliString, Quad, generate, random_connected_graph,
+    FamilySpec, Graph, PauliString, Quad, SizeCapExceededError, generate,
+    graph_state, random_connected_graph,
 )
+from lossbell.oracle import REPLACEMENTS
 
 settings.register_profile(
     "default",
@@ -64,6 +67,57 @@ def embed(p: PauliString, positions: tuple[int, ...], n_full: int) -> PauliStrin
         x |= ((p.x_bits >> k) & 1) << pos
         z |= ((p.z_bits >> k) & 1) << pos
     return PauliString(n_full, x, z, p.phase_pow)
+
+
+DENSE_RHO_CAP = 10
+
+
+def dense_lossy_density_matrix(
+    g: Graph,
+    loss: frozenset[int],
+    replacement: str = "zero",
+    cap: int = DENSE_RHO_CAP,
+) -> np.ndarray:
+    """Reference: the full 2**n x 2**n post-loss density matrix, a second
+    opinion on the product identity that `LossyState` evaluates."""
+    if g.n > cap:
+        raise SizeCapExceededError(f"n={g.n} exceeds dense-rho cap {cap}")
+    if replacement not in REPLACEMENTS:
+        raise ValueError(f"unknown replacement {replacement!r}")
+    loss = frozenset(loss)
+    psi = graph_state(g)
+    kept = [i for i in range(g.n) if i not in loss]
+    lost = sorted(loss)
+    if not lost:
+        return np.outer(psi, psi.conj())
+
+    # permuted layout: kept sites at the low bits, lost sites above them
+    dim = 1 << g.n
+    idx = np.arange(dim)
+    perm = np.zeros(dim, dtype=np.int64)
+    for new_pos, old_pos in enumerate(kept + lost):
+        perm |= ((idx >> old_pos) & 1) << new_pos
+    psi_perm = np.zeros(dim, dtype=complex)
+    psi_perm[perm] = psi
+    m = psi_perm.reshape(1 << len(lost), 1 << len(kept))
+    sigma = m.T @ m.conj()
+
+    if replacement == "zero":
+        single = np.array([[1, 0], [0, 0]], dtype=complex)
+    elif replacement == "one":
+        single = np.array([[0, 0], [0, 1]], dtype=complex)
+    else:
+        single = np.eye(2, dtype=complex) / 2
+    rep = np.array([[1]], dtype=complex)
+    for _ in lost:
+        rep = np.kron(rep, single)
+
+    rho_perm = np.kron(rep, sigma)
+    return rho_perm[np.ix_(perm, perm)]
+
+
+def dense_expectation(rho: np.ndarray, op: np.ndarray) -> float:
+    return float(np.trace(rho @ op).real)
 
 
 @pytest.fixture

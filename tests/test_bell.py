@@ -44,6 +44,26 @@ class TestBounds:
         with pytest.raises(DegenerateGraphError):
             quantum_bound(Graph(1))
 
+    @given(graphs(min_n=1, max_n=9), st.data())
+    def test_survivors_bound_is_the_induced_subgraphs(self, g, data):
+        lost = data.draw(st.frozensets(st.integers(0, g.n - 1), max_size=g.n - 1))
+        sub, _ = g.induced_subgraph(g.vertices - lost)
+        if sub.n_max == 0:
+            with pytest.raises(DegenerateGraphError):
+                classical_bound(sub)
+            with pytest.raises(DegenerateGraphError):
+                classical_bound(g, lost=lost)
+        else:
+            assert classical_bound(g, lost=lost) == classical_bound(sub)
+        if not lost and g.n_max:
+            assert classical_bound(g, lost=lost) == classical_bound(g)
+
+    def test_survivors_bound_values(self, star6, two_hub8):
+        assert classical_bound(star6, lost=frozenset({1, 2})) == Quad(6)
+        assert classical_bound(two_hub8, lost=frozenset({7})) == Quad(10)
+        with pytest.raises(DegenerateGraphError):
+            classical_bound(star6, lost=frozenset({0}))
+
     @given(connected_graphs())
     def test_pair_gap(self, g):
         quantum, classical = quantum_bound(g), classical_bound(g)

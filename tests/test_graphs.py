@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lossbell as lb
 from conftest import graphs
 from lossbell import Graph, GraphFormatError, random_connected_graph
+from lossbell.bell import bell_weights
 
 
 class TestNeighborhoods:
@@ -20,10 +23,10 @@ class TestNeighborhoods:
         assert ring5.neighborhood(0) == {1, 4}
 
     def test_closed(self, star4):
-        assert star4.closed_neighborhood(0) == {0, 1, 2, 3}
-        assert star4.closed_neighborhood(3) == {0, 3}
+        assert star4.neighborhood(0) | {0} == {0, 1, 2, 3}
+        assert star4.neighborhood(3) | {3} == {0, 3}
         edgeless = Graph(3)
-        assert edgeless.closed_neighborhood(1) == {1}
+        assert edgeless.neighborhood(1) | {1} == {1}
 
     def test_out_of_range(self, star4):
         with pytest.raises(IndexError):
@@ -35,11 +38,112 @@ class TestNeighborhoods:
             for j in g.neighborhood(i):
                 assert i in g.neighborhood(j)
 
-    @given(graphs())
-    def test_masks_match_neighborhoods(self, g):
-        for i, mask in enumerate(g.adjacency_masks):
-            assert {j for j in range(g.n) if mask >> j & 1} == g.neighborhood(i)
+    @given(graphs(), st.data())
+    def test_masks_match_neighborhoods(self, g, data):
+        # every query against the edge list and `induced_subgraph`; the drawn
+        # graphs include edgeless and disconnected ones and n = 1
+        adjacent = {i: set() for i in range(g.n)}
+        for i, j in g.edges:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
         assert len(g.adjacency_masks) == g.n
+        for i, mask in enumerate(g.adjacency_masks):
+            assert {j for j in range(g.n) if mask >> j & 1} == adjacent[i]
+            assert g.neighborhood(i) == adjacent[i]
+            assert isinstance(g.neighborhood(i), frozenset)
+            assert g.degree(i) == len(adjacent[i])
+        assert g.leaves() == tuple(i for i in range(g.n) if len(adjacent[i]) == 1)
+        reached, stack = {0}, [0]
+        while stack:
+            for j in adjacent[stack.pop()] - reached:
+                reached.add(j)
+                stack.append(j)
+        assert g.is_connected() == (len(reached) == g.n)
+        for i in (-1, g.n):
+            with pytest.raises(IndexError):
+                g.neighborhood(i)
+            with pytest.raises(IndexError):
+                g.degree(i)
+
+        lost = data.draw(st.frozensets(st.integers(0, g.n - 1), max_size=g.n - 1))
+        sub, mapping = g.induced_subgraph(g.vertices - lost)
+        degrees = g.survivor_degrees(g.loss_mask(lost))
+        assert degrees == {v: sub.degree(mapping[v]) for v in sorted(mapping)}
+        assert list(degrees) == sorted(mapping)
+
+
+# hub 0 with leaves 1 and 2 and a path 0-3-4
+_G5 = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+
+
+def _dist(realization):
+    return lb.LossDistribution(
+        ((Fraction(1, 2), frozenset()), (Fraction(1, 2), realization))
+    )
+
+
+# every public entry point that takes a loss set, called with ``loss`` there
+_LOSS_SET_ENTRY_POINTS = {
+    "violation_report": lambda loss: lb.violation_report(_G5, loss),
+    "expectation_after_loss": lambda loss: lb.expectation_after_loss(_G5, 0, loss),
+    "generator_expectation/hypothesis":
+        lambda loss: lb.generator_expectation(_G5, 4, loss, frozenset()),
+    "generator_expectation/actual":
+        lambda loss: lb.generator_expectation(_G5, 4, frozenset(), loss),
+    "mixture_expectation/hypothesis":
+        lambda loss: lb.mixture_expectation(_G5, _dist(frozenset()), 4, loss),
+    "mixture_expectation/realization":
+        lambda loss: lb.mixture_expectation(_G5, _dist(loss), 0),
+    "mixture_expectation/realization-under-hypothesis":
+        lambda loss: lb.mixture_expectation(_G5, _dist(loss), 0, frozenset({4})),
+    "single_loss_mixture_curve":
+        lambda loss: lb.single_loss_mixture_curve(_G5, 0, (1, 3), loss, [Fraction(0)]),
+    "LossyState": lambda loss: lb.LossyState(_G5, loss),
+    "with_loss": lambda loss: lb.LossyState(_G5, frozenset()).with_loss(loss),
+    "stabilizer": lambda loss: lb.stabilizer(_G5, 4, lost=loss),
+    "bell_stabilizer_sum": lambda loss: lb.bell_stabilizer_sum(_G5, 4, lost=loss),
+    "bell_weights": lambda loss: bell_weights(_G5, 4, lost=loss),
+    "classical_bound": lambda loss: lb.classical_bound(_G5, lost=loss),
+}
+
+
+class TestLossSets:
+    def test_loss_mask(self):
+        assert _G5.loss_mask(frozenset()) == 0
+        assert _G5.loss_mask([4, 1, 4]) == 0b10010
+        for member in (5, -1, "a"):
+            with pytest.raises(ValueError, match="loss set contains out-of-range vertices"):
+                _G5.loss_mask({member})
+        with pytest.raises(ValueError, match="losing every qubit is not allowed"):
+            _G5.loss_mask(range(5))
+        with pytest.raises(ValueError, match="losing every qubit"):
+            Graph(1).loss_mask({0})
+
+    def test_survivor_degrees(self):
+        assert _G5.survivor_degrees(0) == {0: 3, 1: 1, 2: 1, 3: 2, 4: 1}
+        assert _G5.survivor_degrees(0b01001) == {1: 0, 2: 0, 4: 0}
+
+    # The types each entry point raised before `Graph.loss_mask`, except that
+    # `stabilizer`, `bell_stabilizer_sum` and `bell_weights` raised TypeError
+    # for a str, float or None member: a member that is not a vertex is a
+    # ValueError everywhere.  1.0 equals vertex 1 but cannot be shifted.
+    @pytest.mark.parametrize("entry", sorted(_LOSS_SET_ENTRY_POINTS))
+    def test_every_entry_point_raises_the_same_types(self, entry):
+        call = _LOSS_SET_ENTRY_POINTS[entry]
+        expected = [
+            (frozenset({5, 2}), ValueError),
+            (frozenset({-1, 2}), ValueError),
+            (frozenset({"a", 2}), ValueError),
+            (frozenset({1.5, 2}), ValueError),
+            (frozenset({None, 2}), ValueError),
+            (frozenset({1.0, 2}), TypeError),
+            (frozenset(range(5)), ValueError),
+        ]
+        for loss, error in expected:
+            with pytest.raises(Exception) as info:
+                call(loss)
+            assert type(info.value) is error, (loss, info.value)
+        call(frozenset({2}))  # a proper loss set passes
 
 
 class TestRoots:

@@ -21,7 +21,6 @@ from lossbell import (
     critical_sets,
     expectation_after_loss,
     generator_expectation,
-    induced_operator_expectation,
     loss_size_sweep,
     max_tolerable_loss,
     mixture_expectation,
@@ -31,11 +30,29 @@ from lossbell import (
     violation_report,
     wt_sets,
 )
-from lossbell.loss import SubsetOutcome, SweepRow, _verdict
+from lossbell.loss import (
+    SubsetOutcome, SweepRow, _alive, _bell_value, _counts, _verdict,
+)
 
 
 def _mask(vertices):
     return sum(1 << v for v in vertices)
+
+
+def induced_operator_expectation(g, r, hypothesis, actual):
+    """Reference for `mixture_expectation`: the exact expectation of the Bell
+    operator of the subgraph surviving ``hypothesis``, anchored at r (anchor
+    coefficient sqrt(2)*n_max of that subgraph, whether or not r kept root
+    status there), on the state that actually lost ``actual``.  The
+    subgraph's maximum degree is read from a survivor `Graph`."""
+    hyp = g.loss_mask(hypothesis)
+    if r in hypothesis:
+        raise ValueError("anchor vertex is in the hypothesized loss set")
+    sub, _ = g.induced_subgraph(g.vertices - frozenset(hypothesis))
+    if sub.n_max == 0:
+        raise DegenerateGraphError("surviving subgraph has no edges")
+    alive = _alive(g, hyp, g.loss_mask(actual))
+    return _bell_value(*_counts(g, r, alive), sub.n_max)
 
 
 def _outcome(evaluate):
@@ -62,7 +79,7 @@ class TestWTSets:
     def test_empty_loss(self, dense12):
         sets = wt_sets(dense12, 0, frozenset())
         assert sets.w == dense12.neighborhood(0)
-        assert sets.t == dense12.vertices - dense12.closed_neighborhood(0)
+        assert sets.t == dense12.vertices - dense12.neighborhood(0) - {0}
         assert not sets.root_hit
 
     def test_non_root_rejected(self, star6):
@@ -234,7 +251,7 @@ class TestViolationReport:
         for r in sorted(g.roots - lost):
             sets = wt_sets(g, r, lost)
             assert sets.w <= g.neighborhood(r)
-            assert sets.t.isdisjoint(g.closed_neighborhood(r))
+            assert sets.t.isdisjoint(g.neighborhood(r) | {r})
             assert sets.t.isdisjoint(lost)
 
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, graphs
+from conftest import (
+    connected_graphs, dense_expectation, dense_lossy_density_matrix, graphs,
+)
 from lossbell import (
     Graph,
     LossyState,
@@ -26,8 +28,6 @@ from lossbell.oracle import (
     EXPECTATION_TOL,
     REPLACEMENTS,
     apply_pauli,
-    dense_expectation,
-    dense_lossy_density_matrix,
     expectation,
 )
 from lossbell.pauli import PauliString
@@ -202,9 +202,11 @@ class TestDenseSecondOpinion:
         from lossbell import MeasurementSetting, generic_bell_operator
 
         dense_op = generic_bell_operator(star4, 0, MeasurementSetting.ideal(star4, 0))
-        lossy = LossyState(star4, frozenset({2}))
-        via_dense = lossy.bell_expectation(dense_op)
-        via_sum = lossy.bell_expectation(bell_stabilizer_sum(star4, 0))
+        rho = dense_lossy_density_matrix(star4, frozenset({2}))
+        via_dense = dense_expectation(rho, dense_op)
+        via_sum = LossyState(star4, frozenset({2})).bell_expectation(
+            bell_stabilizer_sum(star4, 0)
+        )
         assert via_dense == pytest.approx(via_sum, abs=1e-9)
         assert via_dense == pytest.approx(
             float(expectation_after_loss(star4, 0, frozenset({2}))), abs=1e-9
