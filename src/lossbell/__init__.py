@@ -28,7 +28,6 @@ from .loss import (
     LossDistribution,
     LossReport,
     MixtureCurve,
-    WTSets,
     critical_sets,
     expectation_after_loss,
     generator_expectation,
@@ -38,7 +37,6 @@ from .loss import (
     root_loss_check,
     single_loss_mixture_curve,
     violation_report,
-    wt_sets,
 )
 from .oracle import (
     LossyState,
@@ -67,7 +65,6 @@ __all__ = [
     "SQRT2",
     "SizeCapExceededError",
     "VerificationError",
-    "WTSets",
     "WeightedStabilizerSum",
     "basis_block_weights",
     "bell_stabilizer_sum",
@@ -89,5 +86,4 @@ __all__ = [
     "single_loss_mixture_curve",
     "stabilizer",
     "violation_report",
-    "wt_sets",
 ]

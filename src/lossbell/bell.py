@@ -44,11 +44,21 @@ def require_root(g: Graph, r: int) -> None:
         )
 
 
+def survivors(g: Graph, lost: int) -> tuple[dict[int, int], int, int | None]:
+    """The graph induced on the vertices not in the mask ``lost``, without
+    building it: each survivor's degree there (in index order), its maximum
+    degree n_max, and its classical bound n_max + N - 1, or None when no
+    edge survives."""
+    degrees = g.survivor_degrees(lost)
+    n_max = max(degrees.values())
+    return degrees, n_max, n_max + len(degrees) - 1 if n_max else None
+
+
 def survivors_n_max(g: Graph, lost: int) -> int:
     """Maximum degree of the graph induced on the vertices not in the mask
     ``lost``; the bound formulas need it to be at least 1."""
-    n_max = max(g.survivor_degrees(lost).values())
-    if n_max == 0:
+    _, n_max, bound = survivors(g, lost)
+    if bound is None:
         raise DegenerateGraphError("the survivors' graph has no edges")
     return n_max
 
@@ -61,8 +71,10 @@ def classical_bound(g: Graph, *, lost: frozenset[int] | None = None) -> Quad:
     if lost is None:
         _require_nondegenerate(g)
         return Quad(g.n_max + g.n - 1)
-    lost_mask = g.loss_mask(lost)
-    return Quad(survivors_n_max(g, lost_mask) + g.n - lost_mask.bit_count() - 1)
+    _, _, bound = survivors(g, g.loss_mask(lost))
+    if bound is None:
+        raise DegenerateGraphError("the survivors' graph has no edges")
+    return Quad(bound)
 
 
 def quantum_bound(g: Graph) -> Quad:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bell import classical_bound, quantum_bound
+from .bell import classical_bound, quantum_bound, survivors
 from .graphs import DEFAULT_VERTEX_CAP, Graph
 from .quad import Quad
 
@@ -136,8 +136,8 @@ def family_prediction(spec: FamilySpec, loss_size: int) -> FamilyPrediction:
 
     g = generate(spec)
     anchor, *lost = _canonical_loss(spec, loss_size)
-    sub, _ = g.induced_subgraph(g.vertices - frozenset(lost))
-    induced_bound = None if sub.n_max == 0 else classical_bound(sub)
+    _, _, induced = survivors(g, g.loss_mask(lost))
+    induced_bound = None if induced is None else Quad(induced)
     full_bound = classical_bound(g)
     return FamilyPrediction(
         spec=spec,

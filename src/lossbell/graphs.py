@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
 from collections.abc import Iterable
 
@@ -123,7 +124,8 @@ class Graph:
 
     def loss_mask(self, loss: Iterable[int]) -> int:
         """Mask of the loss set ``loss``: a member that is not a vertex, or a
-        loss of every vertex, is a `ValueError`."""
+        loss of every vertex, is a `ValueError`, and a non-integer equal to a
+        vertex (1.0) a `TypeError`.  Any integer type (numpy's) is accepted."""
         loss = frozenset(loss)
         if not loss <= self.vertices:
             raise ValueError("loss set contains out-of-range vertices")
@@ -131,7 +133,10 @@ class Graph:
             raise ValueError("losing every qubit is not allowed")
         mask = 0
         for v in loss:
-            mask |= 1 << v
+            try:
+                mask |= 1 << operator.index(v)
+            except TypeError:
+                raise TypeError(f"loss set member {v!r} is not an integer") from None
         return mask
 
     def survivor_degrees(self, lost: int) -> dict[int, int]:

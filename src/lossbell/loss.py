@@ -17,19 +17,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .bell import classical_bound, quantum_bound, require_root, survivors_n_max
-from .errors import BudgetExceededError, DegenerateGraphError, DistributionError
+from .bell import (
+    classical_bound, quantum_bound, require_root, survivors, survivors_n_max,
+)
+from .errors import BudgetExceededError, DistributionError
 from .graphs import Graph, members
 from .quad import Quad
 
 SUBSET_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class WTSets:
-    w: frozenset[int]
-    t: frozenset[int]
-    root_hit: bool
 
 
 def _alive(g: Graph, hypothesis: int, actual: int) -> int:
@@ -63,23 +58,6 @@ def _counts(g: Graph, r: int, alive: int) -> tuple[int, int, bool]:
 def _bell_value(w: int, t: int, root_hit: bool, anchor_weight: int) -> Quad:
     """|T| + sqrt(2)*(|W| + anchor_weight), the anchor term only if it survives."""
     return Quad(t, w + (0 if root_hit else anchor_weight))
-
-
-def wt_sets(g: Graph, r: int, loss: frozenset[int]) -> WTSets:
-    """Counting sets for the post-loss expectation at root r.
-
-    W: neighbors of r outside every lost vertex's closed neighborhood.
-    T: vertices outside both those closed neighborhoods and r's own.
-    root_hit: whether the loss touches r's closed neighborhood.
-    """
-    require_root(g, r)
-    alive = _alive(g, 0, g.loss_mask(loss))
-    nr = g.adjacency_masks[r]
-    return WTSets(
-        frozenset(members(alive & nr)),
-        frozenset(members(alive & ~nr & ~(1 << r))),
-        not alive >> r & 1,
-    )
 
 
 def expectation_after_loss(g: Graph, r: int, loss: frozenset[int]) -> Quad:
@@ -120,6 +98,24 @@ def generator_expectation(
 
 
 # -- violation reports -------------------------------------------------------
+
+
+def _anchors(
+    g: Graph, roots: list[int], lost: int, degrees: dict[int, int], sub_n_max: int
+) -> tuple[list[int], int, bool]:
+    """The anchors of the records of the loss set ``lost`` (a mask), their
+    anchor weight, and whether they count against g's own bound too.
+
+    ``roots`` are g's roots, ascending; ``degrees`` and ``sub_n_max`` are the
+    survivors' from `survivors`.  The surviving roots of g are scored with
+    g's n_max.  If every root is lost, the survivors' own roots are scored
+    with the survivors' n_max, against the survivors' bound alone; there are
+    none when no edge survives.
+    """
+    anchors = [r for r in roots if not lost >> r & 1]
+    if anchors:
+        return anchors, g.n_max, True
+    return [v for v, d in degrees.items() if d == sub_n_max > 0], sub_n_max, False
 
 
 @dataclass(frozen=True)
@@ -210,60 +206,35 @@ def violation_report(g: Graph, loss: frozenset[int]) -> LossReport:
     lost = g.loss_mask(loss)
     full_bound = classical_bound(g)
     quantum = quantum_bound(g)
-    degrees = g.survivor_degrees(lost)
-    induced_n_max = max(degrees.values())
-    # classical_bound of the survivor subgraph, undefined when it has no edges
-    induced_bound = (
-        None if induced_n_max == 0 else Quad(induced_n_max + len(degrees) - 1)
-    )
+    degrees, induced_n_max, induced = survivors(g, lost)
+    induced_bound = None if induced is None else Quad(induced)
+    roots = sorted(g.roots)
+    anchors, weight, full_scope = _anchors(g, roots, lost, degrees, induced_n_max)
     alive = _alive(g, 0, lost)
-    surviving_roots = sorted(r for r in g.roots if not lost >> r & 1)
     records = []
-    if surviving_roots:
-        for r in surviving_roots:
-            w, t, root_hit = _counts(g, r, alive)
-            value = _bell_value(w, t, root_hit, g.n_max)
-            records.append(
-                RootRecord(
-                    root=r,
-                    scope="both",
-                    expectation=value,
-                    violates_full=value > full_bound,
-                    violates_induced=(
-                        induced_bound is not None and value > induced_bound
-                    ),
-                    w_size=w,
-                    t_size=t,
-                    root_hit=root_hit,
-                    anchor_is_induced_root=degrees[r] == induced_n_max
-                    and induced_n_max > 0,
-                )
+    for r in anchors:
+        w, t, root_hit = _counts(g, r, alive)
+        value = _bell_value(w, t, root_hit, weight)
+        records.append(
+            RootRecord(
+                root=r,
+                scope="both" if full_scope else "induced-only",
+                expectation=value,
+                violates_full=value > full_bound if full_scope else None,
+                violates_induced=induced_bound is not None and value > induced_bound,
+                w_size=w if full_scope else None,
+                t_size=t if full_scope else None,
+                root_hit=root_hit if full_scope else None,
+                anchor_is_induced_root=degrees[r] == induced_n_max > 0,
             )
-    elif induced_bound is not None:
-        for r, degree in degrees.items():
-            if degree != induced_n_max:
-                continue
-            value = _bell_value(*_counts(g, r, alive), induced_n_max)
-            records.append(
-                RootRecord(
-                    root=r,
-                    scope="induced-only",
-                    expectation=value,
-                    violates_full=None,
-                    violates_induced=value > induced_bound,
-                    w_size=None,
-                    t_size=None,
-                    root_hit=None,
-                    anchor_is_induced_root=True,
-                )
-            )
+        )
     return LossReport(
         graph_fingerprint=g.fingerprint,
         n=g.n,
         n_max=g.n_max,
         connected=g.is_connected(),
         loss=tuple(members(lost)),
-        any_root_lost=len(surviving_roots) < len(g.roots),
+        any_root_lost=any(lost >> r & 1 for r in roots),
         full_bound=full_bound,
         quantum=quantum,
         induced_bound=induced_bound,
@@ -307,10 +278,8 @@ def root_loss_check(g: Graph, r_lost: int) -> RootLossCheck:
     require_root(g, r_lost)
     loss = frozenset({r_lost})
     full_bound = classical_bound(g)
-    try:
-        induced_bound = classical_bound(g, lost=loss)
-    except DegenerateGraphError:  # the survivors' graph has no edges
-        induced_bound = None
+    _, _, induced = survivors(g, g.loss_mask(loss))
+    induced_bound = None if induced is None else Quad(induced)
     others = sorted(g.roots - loss)
     targets = others if others else [r_lost]
     entries = []
@@ -399,24 +368,19 @@ def _verdict(g: Graph, bound: str) -> Callable[[int], bool]:
     given as a mask, decided from integer counts alone: no `Quad`, `Graph`
     or report is built per loss set.  Raises `DegenerateGraphError` for an
     edgeless graph, as every report does."""
-    classical_bound(g)
+    full_score = int(classical_bound(g).a)  # raises for an edgeless graph
     roots = sorted(g.roots)
 
     def verdict(lost: int) -> bool:
-        anchors = [r for r in roots if not lost >> r & 1]
-        weight = g.n_max
         if bound == "full":
-            # with every root lost, no record counts against this bound
-            score = g.n_max + g.n - 1  # classical_bound(g)
+            # fallback anchors never count against this bound
+            anchors = [r for r in roots if not lost >> r & 1]
+            weight, score = g.n_max, full_score
         else:
-            degrees = g.survivor_degrees(lost)
-            sub_n_max = max(degrees.values())
-            if sub_n_max == 0:  # the survivor bound is undefined
+            degrees, sub_n_max, score = survivors(g, lost)
+            if score is None:  # the survivor bound is undefined
                 return False
-            score = sub_n_max + len(degrees) - 1  # classical bound of the survivors
-            if not anchors:
-                anchors = [v for v, d in degrees.items() if d == sub_n_max]
-                weight = sub_n_max
+            anchors, weight, _ = _anchors(g, roots, lost, degrees, sub_n_max)
         alive = _alive(g, 0, lost)
         for r in anchors:
             w, t, root_hit = _counts(g, r, alive)
@@ -657,28 +621,31 @@ def single_loss_mixture_curve(
     require_root(g, root)
     induced_bound = classical_bound(g, lost=hypothesis)
     full_bound = classical_bound(g)
-
-    def margins(p: Fraction) -> tuple[Quad, Quad, Quad, Quad]:
-        dist = LossDistribution.single_loss_model(candidates, p)
-        full_value = mixture_expectation(g, dist, root)
-        induced_value = mixture_expectation(g, dist, root, hypothesis)
-        return (
-            full_value,
-            full_value - full_bound,
-            induced_value,
-            induced_value - induced_bound,
+    # both expectations are affine in p: v0 + (v1 - v0)*p from p = 0 and p = 1
+    (full0, full1), (induced0, induced1) = (
+        [
+            mixture_expectation(
+                g, LossDistribution.single_loss_model(candidates, p), root, hyp
+            )
+            for p in (Fraction(0), Fraction(1))
+        ]
+        for hyp in (None, hypothesis)
+    )
+    full_slope, induced_slope = full1 - full0, induced1 - induced0
+    points = []
+    for p in grid:
+        q = Fraction(p)
+        LossDistribution.single_loss_model(candidates, q)  # rejects q outside [0, 1]
+        full, induced = full0 + full_slope * q, induced0 + induced_slope * q
+        points.append(
+            MixturePoint(p, full, full - full_bound, induced, induced - induced_bound)
         )
 
-    points = tuple(MixturePoint(p, *margins(p)) for p in grid)
-
-    # both margins are affine in p; solve from the endpoints
-    _, f0, _, i0 = margins(Fraction(0))
-    _, f1, _, i1 = margins(Fraction(1))
-    slope_diff = (f1 - f0) - (i1 - i0)
+    slope_diff = full_slope - induced_slope
     crossover = None
     in_unit = False
     if slope_diff.sign() != 0:
-        crossover = (i0 - f0) / slope_diff
+        crossover = ((induced0 - induced_bound) - (full0 - full_bound)) / slope_diff
         in_unit = Quad(0) < crossover < Quad(1)
     return MixtureCurve(
         root=root,
@@ -686,7 +653,7 @@ def single_loss_mixture_curve(
         candidates=tuple(candidates),
         full_bound=full_bound,
         induced_bound=induced_bound,
-        points=points,
+        points=tuple(points),
         crossover=crossover,
         crossover_in_unit_interval=in_unit,
     )

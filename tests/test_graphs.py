@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -118,6 +119,12 @@ class TestLossSets:
             _G5.loss_mask(range(5))
         with pytest.raises(ValueError, match="losing every qubit"):
             Graph(1).loss_mask({0})
+        # any integer type is the vertex it equals; 1.0 is not an integer
+        mask = _G5.loss_mask({np.int64(1), np.int8(3)})
+        assert mask == 0b1010 and type(mask) is int
+        assert _G5.loss_mask({True}) == 0b10
+        with pytest.raises(TypeError, match="loss set member 1.0 is not an integer"):
+            _G5.loss_mask({1.0})
 
     def test_survivor_degrees(self):
         assert _G5.survivor_degrees(0) == {0: 3, 1: 1, 2: 1, 3: 2, 4: 1}
@@ -126,7 +133,8 @@ class TestLossSets:
     # The types each entry point raised before `Graph.loss_mask`, except that
     # `stabilizer`, `bell_stabilizer_sum` and `bell_weights` raised TypeError
     # for a str, float or None member: a member that is not a vertex is a
-    # ValueError everywhere.  1.0 equals vertex 1 but cannot be shifted.
+    # ValueError everywhere.  1.0 equals vertex 1 but is not an integer.
+    # numpy integer members pass everywhere.
     @pytest.mark.parametrize("entry", sorted(_LOSS_SET_ENTRY_POINTS))
     def test_every_entry_point_raises_the_same_types(self, entry):
         call = _LOSS_SET_ENTRY_POINTS[entry]
@@ -144,6 +152,7 @@ class TestLossSets:
                 call(loss)
             assert type(info.value) is error, (loss, info.value)
         call(frozenset({2}))  # a proper loss set passes
+        call(frozenset({np.int64(1), 3}))
 
 
 class TestRoots:

@@ -28,7 +28,6 @@ from lossbell import (
     root_loss_check,
     single_loss_mixture_curve,
     violation_report,
-    wt_sets,
 )
 from lossbell.loss import (
     SubsetOutcome, SweepRow, _alive, _bell_value, _counts, _verdict,
@@ -62,37 +61,35 @@ def _outcome(evaluate):
         return type(exc)
 
 
+def _record(g, root, loss):
+    report = violation_report(g, frozenset(loss))
+    (rec,) = [rec for rec in report.records if rec.root == root]
+    return rec
+
+
 class TestWTSets:
+    """|W|, |T| and root_hit, the paper's counting sets, as reported."""
+
     def test_star_leaf_loss(self, star6):
-        sets = wt_sets(star6, 0, frozenset({1}))
-        assert sets.w == {2, 3, 4, 5}
-        assert sets.t == frozenset()
-        assert sets.root_hit
+        rec = _record(star6, 0, {1})
+        assert (rec.w_size, rec.t_size, rec.root_hit) == (4, 0, True)
 
     def test_dense_center_other_leaf(self, dense12):
         # anchor clique vertex 0, lose the pendant of clique vertex 1
-        sets = wt_sets(dense12, 0, frozenset({7}))
-        assert len(sets.w) == 5 and 1 not in sets.w
-        assert len(sets.t) == 4
-        assert not sets.root_hit
+        rec = _record(dense12, 0, {7})
+        assert (rec.w_size, rec.t_size, rec.root_hit) == (5, 4, False)
 
     def test_empty_loss(self, dense12):
-        sets = wt_sets(dense12, 0, frozenset())
-        assert sets.w == dense12.neighborhood(0)
-        assert sets.t == dense12.vertices - dense12.neighborhood(0) - {0}
-        assert not sets.root_hit
-
-    def test_non_root_rejected(self, star6):
-        with pytest.raises(NotARootError):
-            wt_sets(star6, 1, frozenset())
+        rec = _record(dense12, 0, set())
+        assert rec.w_size == len(dense12.neighborhood(0))
+        assert rec.t_size == len(dense12.vertices - dense12.neighborhood(0) - {0})
+        assert not rec.root_hit
 
     def test_tail_graph_sets(self, tail_graph7):
         # lose the mid-tail vertex: W keeps the two pendant neighbors of the
         # hub, T keeps only the tail tip
-        sets = wt_sets(tail_graph7, 0, frozenset({4}))
-        assert sets.w == {1, 2}
-        assert sets.t == {6}
-        assert not sets.root_hit
+        rec = _record(tail_graph7, 0, {4})
+        assert (rec.w_size, rec.t_size, rec.root_hit) == (2, 1, False)
 
 
 class TestExpectationAfterLoss:
@@ -248,11 +245,14 @@ class TestViolationReport:
             assert rec.anchor_is_induced_root == (
                 sub.n_max > 0 and mapping[rec.root] in sub.roots
             )
-        for r in sorted(g.roots - lost):
-            sets = wt_sets(g, r, lost)
-            assert sets.w <= g.neighborhood(r)
-            assert sets.t.isdisjoint(g.neighborhood(r) | {r})
-            assert sets.t.isdisjoint(lost)
+        # W, T and root_hit from the lost vertices' closed neighborhoods
+        touched = set(lost).union(*(g.neighborhood(v) for v in lost))
+        for rec in report.records:
+            if rec.scope == "both":
+                nr = g.neighborhood(rec.root)
+                assert rec.w_size == len(nr - touched)
+                assert rec.t_size == len(g.vertices - nr - {rec.root} - touched)
+                assert rec.root_hit == (rec.root in touched)
 
 
 class TestRootLoss:
@@ -378,6 +378,50 @@ def triangles() -> Graph:
     return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
+def _reference_records(g, loss):
+    """(anchor, value, violates_full, violates_induced) of each record of
+    `violation_report`, from a survivor `Graph`: the surviving roots of g,
+    or else the survivor subgraph's own roots mapped back, each valued as
+    the generator-by-generator sum of its operator's terms."""
+    sub, mapping = g.induced_subgraph(g.vertices - loss)
+    full_bound = classical_bound(g)
+    sub_bound = classical_bound(sub) if sub.n_max else None
+    records = []
+    for r in sorted(g.roots - loss):
+        value = Quad(0)
+        for v, coeff, _ in bell_stabilizer_sum(g, r).terms:
+            value = value + coeff * generator_expectation(g, v, frozenset(), loss)
+        records.append((r, value, value > full_bound,
+                        sub_bound is not None and value > sub_bound))
+    if records or sub_bound is None:
+        return records
+    back = {new: old for old, new in mapping.items()}
+    for r in sorted(sub.roots):
+        value = Quad(0)
+        for v, coeff, _ in bell_stabilizer_sum(sub, r).terms:
+            value = value + coeff * generator_expectation(g, back[v], loss, loss)
+        records.append((back[r], value, None, value > sub_bound))
+    return records
+
+
+def _draw_losses(g, data):
+    """Drawn loss sets, one with every root lost and one whose survivors
+    have no edge; some may lose every vertex."""
+    vertices = st.integers(0, g.n - 1)
+    losses = data.draw(
+        st.lists(st.frozensets(vertices, max_size=g.n - 1), max_size=6)
+    )
+    # every root lost, plus whatever else was drawn
+    losses.append(g.roots | data.draw(st.frozensets(vertices)))
+    # edgeless survivors: the complement of a maximal independent set
+    independent: set[int] = set()
+    for v in data.draw(st.permutations(range(g.n))):
+        if not g.neighborhood(v) & independent:
+            independent.add(v)
+    losses.append(g.vertices - independent)
+    return losses
+
+
 class TestVerdictKernel:
     """The integer sweep verdict against the exact per-subset report."""
 
@@ -404,24 +448,32 @@ class TestVerdictKernel:
                 with pytest.raises(DegenerateGraphError):
                     _verdict(g, bound)
             return
-        vertices = st.integers(0, g.n - 1)
-        losses = data.draw(
-            st.lists(st.frozensets(vertices, max_size=g.n - 1), max_size=6)
-        )
-        # every root lost, plus whatever else was drawn
-        losses.append(g.roots | data.draw(st.frozensets(vertices)))
-        # edgeless survivors: the complement of a maximal independent set
-        independent: set[int] = set()
-        for v in data.draw(st.permutations(range(g.n))):
-            if not g.neighborhood(v) & independent:
-                independent.add(v)
-        losses.append(g.vertices - independent)
+        losses = _draw_losses(g, data)
         for bound in ("full", "induced"):
             verdict = _verdict(g, bound)
             for loss in losses:
                 if len(loss) < g.n:
                     report = violation_report(g, loss)
                     assert verdict(_mask(loss)) == report.violates(bound)
+
+    @given(graphs(min_n=2, max_n=10), st.data())
+    def test_anchor_rule_matches_the_subgraph_reference(self, g, data):
+        # the report and the kernel share `survivors` and `_anchors`; this
+        # reference builds the survivor subgraph and every value afresh
+        if g.n_max == 0:
+            return
+        verdicts = {bound: _verdict(g, bound) for bound in ("full", "induced")}
+        for loss in _draw_losses(g, data):
+            if len(loss) == g.n:
+                continue
+            want = _reference_records(g, loss)
+            report = violation_report(g, loss)
+            assert [
+                (rec.root, rec.expectation, rec.violates_full, rec.violates_induced)
+                for rec in report.records
+            ] == want
+            assert verdicts["full"](_mask(loss)) == any(rec[2] for rec in want)
+            assert verdicts["induced"](_mask(loss)) == any(rec[3] for rec in want)
 
     @settings(max_examples=40)
     @given(graphs(min_n=1, max_n=8), st.data())
@@ -548,6 +600,48 @@ class TestMixtures:
         full_at_p = f0 + p * (f1 - f0)
         induced_at_p = i0 + p * (i1 - i0)
         assert full_at_p == induced_at_p
+
+    @given(connected_graphs(min_n=2, max_n=9), st.data())
+    def test_curve_points_match_mixture_expectation(self, g, data):
+        # every grid point against the distribution at its own p; a p above 1
+        # is the same DistributionError
+        root = data.draw(st.sampled_from(sorted(g.roots)))
+        vertex = st.integers(0, g.n - 1)
+        candidates = tuple(data.draw(st.lists(vertex, min_size=1, max_size=g.n)))
+        hypothesis = data.draw(
+            st.frozensets(vertex.filter(lambda v: v != root), max_size=g.n - 2)
+        )
+        grid = [0, 1] + data.draw(
+            st.lists(
+                st.fractions(0, 1, max_denominator=12) | st.floats(0, 1, width=16),
+                max_size=4,
+            )
+        )
+        if data.draw(st.sampled_from([False, False, False, True])):
+            grid.insert(data.draw(st.integers(0, len(grid))), Fraction(3, 2))
+
+        def reference():
+            full_bound = classical_bound(g)
+            induced_bound = classical_bound(g, lost=hypothesis)
+            points = []
+            for p in grid:
+                dist = LossDistribution.single_loss_model(candidates, p)
+                full = mixture_expectation(g, dist, root)
+                induced = mixture_expectation(g, dist, root, hypothesis)
+                points.append(
+                    (p, full, full - full_bound, induced, induced - induced_bound)
+                )
+            return points
+
+        def curve():
+            got = single_loss_mixture_curve(g, root, candidates, hypothesis, grid)
+            return [
+                (pt.p, pt.full_expectation, pt.full_margin,
+                 pt.induced_expectation, pt.induced_margin)
+                for pt in got.points
+            ]
+
+        assert _outcome(curve) == _outcome(reference)
 
     def test_curve_monotone_margin(self, dense12):
         grid = [Fraction(j, 80) for j in range(20)]
