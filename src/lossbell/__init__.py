@@ -2,7 +2,9 @@
 
 The analysis lives in `Quad` arithmetic (numbers a + b*sqrt(2) with exact
 rational components); the statevector oracle in `lossbell.oracle` provides
-an independent numerical cross-check of every closed form.
+an independent numerical cross-check of every closed form.  Only the oracle
+and the dense cross-check helpers load numpy: the oracle's names below are
+served on first access, so ``import lossbell`` does not load it.
 """
 
 from .bell import (
@@ -37,11 +39,6 @@ from .loss import (
     root_loss_check,
     single_loss_mixture_curve,
     violation_report,
-)
-from .oracle import (
-    LossyState,
-    basis_block_weights,
-    graph_state,
 )
 from .pauli import PauliString, stabilizer
 from .quad import SQRT2, Quad
@@ -87,3 +84,13 @@ __all__ = [
     "stabilizer",
     "violation_report",
 ]
+
+_ORACLE_NAMES = frozenset({"LossyState", "basis_block_weights", "graph_state"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

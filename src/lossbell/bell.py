@@ -12,19 +12,19 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateGraphError, NotARootError, SizeCapExceededError
 from .graphs import Graph, members
-from .pauli import PauliString, stabilizer
+from .pauli import PauliString, pauli_matrices, stabilizer
 from .quad import SQRT2, Quad
 
-DENSE_OPERATOR_CAP = 14
+if TYPE_CHECKING:
+    import numpy as np
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
+# The dense forms below import numpy where they build an array, so that the
+# exact analysis never loads it.
+DENSE_OPERATOR_CAP = 14
 
 
 def _require_nondegenerate(g: Graph) -> None:
@@ -189,13 +189,15 @@ class MeasurementSetting:
         y1: list[np.ndarray],
         labels: list[tuple[str, str]] | None = None,
     ) -> None:
+        import numpy as np
+
         if len(y0) != len(y1):
             raise ValueError("y0 and y1 must cover the same vertices")
         for mats in (y0, y1):
             for m in mats:
                 if m.shape != (2, 2) or not np.allclose(m, m.conj().T, atol=1e-12):
                     raise ValueError("observables must be 2x2 Hermitian")
-                if not np.allclose(m @ m, _I2, atol=1e-12):
+                if not np.allclose(m @ m, pauli_matrices()["I"], atol=1e-12):
                     raise ValueError("observables must square to the identity")
         self.y0 = [np.array(m, dtype=complex) for m in y0]
         self.y1 = [np.array(m, dtype=complex) for m in y1]
@@ -204,25 +206,30 @@ class MeasurementSetting:
     @classmethod
     def ideal(cls, g: Graph, r: int) -> MeasurementSetting:
         """Settings attaining the quantum bound for the operator rooted at r."""
-        s = 1 / np.sqrt(2)
+        matrices = pauli_matrices()
+        x, z = matrices["X"], matrices["Z"]
+        s = 1 / 2**0.5
         y0, y1, labels = [], [], []
         for i in range(g.n):
             if i == r:
-                y0.append(s * (_X + _Z))
-                y1.append(s * (_X - _Z))
+                y0.append(s * (x + z))
+                y1.append(s * (x - z))
                 labels.append(("(X+Z)/sqrt2", "(X-Z)/sqrt2"))
             else:
-                y0.append(_X.copy())
-                y1.append(_Z.copy())
+                y0.append(x.copy())
+                y1.append(z.copy())
                 labels.append(("X", "Z"))
         return cls(y0, y1, labels)
 
 
 def _kron_term(n: int, site_mats: dict[int, np.ndarray]) -> np.ndarray:
     """Dense tensor product with qubit 0 as the least significant bit."""
+    import numpy as np
+
+    identity = pauli_matrices()["I"]
     out = np.array([[1]], dtype=complex)
     for k in range(n - 1, -1, -1):
-        out = np.kron(out, site_mats.get(k, _I2))
+        out = np.kron(out, site_mats.get(k, identity))
     return out
 
 
@@ -236,6 +243,8 @@ def generic_bell_operator(
     the difference observable), and one per remaining vertex.  Allocates a
     2**n x 2**n complex matrix; callers must respect the cap.
     """
+    import numpy as np
+
     _require_nondegenerate(g)
     if g.n > cap:
         raise SizeCapExceededError(f"n={g.n} exceeds dense-operator cap {cap}")
@@ -266,6 +275,8 @@ def generic_bell_operator(
 
 def stabilizer_sum_matrix(op: WeightedStabilizerSum) -> np.ndarray:
     """Dense matrix of a weighted stabilizer sum (for entrywise comparisons)."""
+    import numpy as np
+
     if op.n > DENSE_OPERATOR_CAP:
         raise SizeCapExceededError(
             f"n={op.n} exceeds dense-operator cap {DENSE_OPERATOR_CAP}"

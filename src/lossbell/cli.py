@@ -21,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import loss as loss_mod
-from . import oracle
 from .bell import require_root
 from .errors import (
     BudgetExceededError,
@@ -30,9 +29,14 @@ from .errors import (
     SizeCapExceededError,
 )
 from .families import KINDS, FamilySpec, generate
-from .graphs import Graph, random_connected_graph
+from .graphs import (
+    DEFAULT_STATE_CAP,
+    MAX_STATE_CAP,
+    STATE_BYTE_BUDGET,
+    Graph,
+    random_connected_graph,
+)
 from .quad import Quad
-from .verify import VerifyResult, check_graph, loss_set_count, loss_sets
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
@@ -97,6 +101,8 @@ def _resolve_loss(args: argparse.Namespace, g: Graph) -> frozenset[int]:
         return frozenset(_parse_vertex_list(args.lose))
     if args.lose_leaves_of_root is not None:
         hub = args.lose_leaves_of_root
+        if args.count is not None and args.count < 0:
+            raise ValueError(f"--count must be at least 0, got {args.count}")
         pendants = [v for v in g.neighborhood(hub) if g.degree(v) == 1]
         count = args.count if args.count is not None else len(pendants)
         if count > len(pendants):
@@ -236,11 +242,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.cap > oracle.MAX_STATE_CAP:
+    # the only command that needs the oracle, and so numpy
+    from . import oracle
+    from .verify import VerifyResult, check_graph, loss_set_count, loss_sets
+
+    if args.cap > MAX_STATE_CAP:
         raise SizeCapExceededError(
-            f"--cap {args.cap} exceeds {oracle.MAX_STATE_CAP}: a statevector of more "
-            f"qubits and its index vector take over "
-            f"{oracle.STATE_BYTE_BUDGET >> 20} MiB"
+            f"--cap {args.cap} exceeds {MAX_STATE_CAP}: a statevector of more "
+            f"qubits and its index vector take over {STATE_BYTE_BUDGET >> 20} MiB"
         )
     rng = random.Random(args.seed)
     graphs: list[Graph] = []
@@ -329,8 +338,12 @@ def _cmd_mixture(args: argparse.Namespace) -> int:
         hypothesis = frozenset({min(pendants)})
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    try:
+        p_max = Fraction(args.p_max)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad --p-max {args.p_max!r}: zero denominator") from exc
     # grid runs from 0 up to but excluding p_max
-    grid = [Fraction(args.p_max) * j / args.grid_points for j in range(args.grid_points)]
+    grid = [p_max * j / args.grid_points for j in range(args.grid_points)]
     curve = loss_mod.single_loss_mixture_curve(g, root, candidates, hypothesis, grid)
     if args.format == "jsonl":
         for row in curve.to_rows():
@@ -427,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sets", type=int, default=500,
                    help="cap on loss sets per graph")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--replacement-invariance", action="store_true",
                    help="check |0>, |1> and mixed replacements agree")
     p.set_defaults(func=_cmd_verify)

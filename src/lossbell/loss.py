@@ -516,6 +516,14 @@ def critical_sets(
 # -- mixtures of loss realizations -----------------------------------------------
 
 
+def _unit_probability(p: Fraction | float) -> Fraction:
+    """p as an exact Fraction; a `DistributionError` unless 0 <= p <= 1."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise DistributionError(f"p={p} outside [0, 1]")
+    return p
+
+
 @dataclass(frozen=True)
 class LossDistribution:
     """Exact probability distribution over loss realizations."""
@@ -536,9 +544,7 @@ class LossDistribution:
         cls, candidates: tuple[int, ...], p: Fraction
     ) -> LossDistribution:
         """No loss with probability 1-p, else one uniformly chosen candidate."""
-        p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise DistributionError(f"p={p} outside [0, 1]")
+        p = _unit_probability(p)
         if not candidates:
             raise DistributionError("no loss candidates given")
         share = p / len(candidates)
@@ -634,8 +640,7 @@ def single_loss_mixture_curve(
     full_slope, induced_slope = full1 - full0, induced1 - induced0
     points = []
     for p in grid:
-        q = Fraction(p)
-        LossDistribution.single_loss_model(candidates, q)  # rejects q outside [0, 1]
+        q = _unit_probability(p)
         full, induced = full0 + full_slope * q, induced0 + induced_slope * q
         points.append(
             MixturePoint(p, full, full - full_bound, induced, induced - induced_bound)

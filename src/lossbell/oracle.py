@@ -22,16 +22,15 @@ import numpy as np
 
 from .bell import WeightedStabilizerSum
 from .errors import SizeCapExceededError, VerificationError
-from .graphs import Graph
+# re-exports the state caps, which live in graphs so that reading them needs no numpy
+from .graphs import (  # noqa: F401
+    DEFAULT_STATE_CAP,
+    MAX_STATE_CAP,
+    STATE_BYTE_BUDGET,
+    Graph,
+)
 from .pauli import PauliString, stabilizer
 
-DEFAULT_STATE_CAP = 14
-# An n-qubit state holds 2**n complex128 amplitudes (16 bytes each) and reads
-# an int64 index vector of the same length (8 bytes each).  `verify --cap`
-# refuses a cap whose pair would not fit the budget, before building anything;
-# `apply_pauli`'s temporaries come on top of it.
-STATE_BYTE_BUDGET = 1 << 28
-MAX_STATE_CAP = (STATE_BYTE_BUDGET // (16 + 8)).bit_length() - 1
 STATE_TOL = 1e-10
 EXPECTATION_TOL = 1e-9
 

@@ -10,19 +10,36 @@ String rendering and ``from_letters`` read site 0 as the leftmost letter.
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Mapping
+from functools import lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {v: k for k, v in _LETTERS.items()}
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+
+
+@lru_cache(maxsize=None)
+def pauli_matrices() -> Mapping[str, np.ndarray]:
+    """The 2x2 matrices of I, X, Y and Z by letter, read-only.  Built on
+    first use, so numpy loads only when a dense matrix is asked for."""
+    import numpy as np
+
+    matrices = {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    for m in matrices.values():
+        m.flags.writeable = False
+    return MappingProxyType(matrices)
 
 
 class PauliString:
@@ -114,9 +131,12 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2**n matrix with qubit 0 as the least significant bit."""
+        import numpy as np
+
+        matrices = pauli_matrices()
         out = np.array([[1]], dtype=complex)
         for k in range(self._n - 1, -1, -1):
-            out = np.kron(out, _MATRICES[self.letter(k)])
+            out = np.kron(out, matrices[self.letter(k)])
         return (1j ** self._phase) * out
 
     # -- identity ----------------------------------------------------------------

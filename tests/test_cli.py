@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,14 @@ class TestAnalyze:
             capsys, "analyze", "--family", "star", "--n", "6",
             "--lose-leaves-of-root", "99",
         ))
+
+    def test_negative_count(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--family", "star", "--n", "6",
+            "--lose-leaves-of-root", "0", "--count", "-1",
+        )
+        assert_usage_error(code, out, err)
+        assert "--count must be at least 0, got -1" in err
 
     def test_table_matches_structured_decimals(self, capsys):
         args = ("analyze", "--family", "dense-center", "--n", "12", "--lose", "7,8")
@@ -406,6 +418,12 @@ class TestMixture:
             "--leaves-only", "--grid-points", "0",
         ))
 
+    @pytest.mark.parametrize("p_max", ["1/0", "abc"])
+    def test_bad_p_max(self, capsys, p_max):
+        assert_usage_error(*run(
+            capsys, "mixture", "--family", "star", "--n", "6", "--p-max", p_max
+        ))
+
 
 class TestDistributionParser:
     def test_comments_and_empty_set(self):
@@ -424,3 +442,52 @@ class TestDistributionParser:
     def test_empty_file(self):
         with pytest.raises(DistributionError):
             parse_distribution("\n")
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+import lossbell
+assert "numpy" not in sys.modules, "numpy loaded by import lossbell"
+from lossbell import cli
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+for argv in (
+    ["analyze", "--family", "star", "--n", "6", "--lose", "1"],
+    ["sweep", "--family", "dense-center", "--n", "8"],
+    ["mixture", "--family", "dense-center", "--n", "8", "--leaves-only"],
+    ["family", "list"],
+):
+    quiet(argv)
+try:
+    lossbell.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute served")
+assert "numpy" not in sys.modules, "numpy loaded without verify"
+quiet(["verify", "--family", "star", "--n", "5", "--max-loss", "1"])
+assert "numpy" in sys.modules
+from lossbell import LossyState, basis_block_weights, graph_state
+from lossbell import oracle
+assert (LossyState, basis_block_weights, graph_state) == (
+    oracle.LossyState, oracle.basis_block_weights, oracle.graph_state)
+namespace = {}
+exec("from lossbell import *", namespace)
+assert set(lossbell.__all__) <= set(namespace)
+"""
+
+
+class TestStartup:
+    def test_only_verify_loads_numpy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
