@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateGraphError, NotARootError, SizeCapExceededError
-from .graphs import Graph, members
+from .graphs import DENSE_OPERATOR_CAP, Graph, members
 from .pauli import PauliString, pauli_matrices, stabilizer
 from .quad import SQRT2, Quad
 
@@ -23,8 +23,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # The dense forms below import numpy where they build an array, so that the
-# exact analysis never loads it.
-DENSE_OPERATOR_CAP = 14
+# exact analysis never loads it, and refuse graphs above `DENSE_OPERATOR_CAP`.
 
 
 def _require_nondegenerate(g: Graph) -> None:
@@ -233,21 +232,27 @@ def _kron_term(n: int, site_mats: dict[int, np.ndarray]) -> np.ndarray:
     return out
 
 
+def _check_dense_cap(n: int) -> None:
+    if n > DENSE_OPERATOR_CAP:
+        raise SizeCapExceededError(
+            f"n={n} exceeds dense-operator cap {DENSE_OPERATOR_CAP}"
+        )
+
+
 def generic_bell_operator(
-    g: Graph, r: int, setting: MeasurementSetting, cap: int = DENSE_OPERATOR_CAP
+    g: Graph, r: int, setting: MeasurementSetting
 ) -> np.ndarray:
     """Dense Bell operator for arbitrary observables, assembled term by term.
 
     Three groups of terms: the doubled root correlator over the root's
     neighborhood, one correlator per root neighbor (with the root flipped to
     the difference observable), and one per remaining vertex.  Allocates a
-    2**n x 2**n complex matrix; callers must respect the cap.
+    2**n x 2**n complex matrix, so n above `DENSE_OPERATOR_CAP` is refused.
     """
     import numpy as np
 
     _require_nondegenerate(g)
-    if g.n > cap:
-        raise SizeCapExceededError(f"n={g.n} exceeds dense-operator cap {cap}")
+    _check_dense_cap(g.n)
     if r not in g.roots:
         raise NotARootError(f"vertex {r} is not a maximum-degree vertex")
     if len(setting.y0) != g.n:
@@ -277,10 +282,7 @@ def stabilizer_sum_matrix(op: WeightedStabilizerSum) -> np.ndarray:
     """Dense matrix of a weighted stabilizer sum (for entrywise comparisons)."""
     import numpy as np
 
-    if op.n > DENSE_OPERATOR_CAP:
-        raise SizeCapExceededError(
-            f"n={op.n} exceeds dense-operator cap {DENSE_OPERATOR_CAP}"
-        )
+    _check_dense_cap(op.n)
     out = np.zeros((2**op.n, 2**op.n), dtype=complex)
     for _, coeff, pauli in op.terms:
         out += float(coeff) * pauli.to_matrix()

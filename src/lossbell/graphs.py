@@ -33,6 +33,13 @@ DEFAULT_VERTEX_CAP = 10_000
 DEFAULT_STATE_CAP = 14
 STATE_BYTE_BUDGET = 1 << 28
 MAX_STATE_CAP = (STATE_BYTE_BUDGET // (16 + 8)).bit_length() - 1
+# The dense operators of `bell` refuse more vertices than this cap, before any
+# array is allocated.  An n-vertex operator is a 2**n x 2**n complex128 matrix
+# (4**n * 16 bytes), and building one holds three full-size arrays at its
+# peak: the result, one term's Kronecker product and a scaled copy of that
+# term.  The cap is the largest n whose three fit the budget: 11, where they
+# take 192 MiB (the result alone would allow 12).
+DENSE_OPERATOR_CAP = ((STATE_BYTE_BUDGET // (3 * 16)).bit_length() - 1) // 2
 
 
 class Graph:
@@ -197,21 +204,24 @@ class Graph:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def parse(cls, text: str, *, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-        """Graph from either text format; a vertex count above ``cap`` is a
-        `GraphFormatError`, raised before any per-vertex allocation."""
+    def parse(cls, text: str) -> Graph:
+        """Graph from either text format; a vertex count above
+        `DEFAULT_VERTEX_CAP` is a `GraphFormatError`, raised before any
+        per-vertex allocation."""
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return cls._parse_json(stripped, cap)
-        return cls._parse_edge_list(text, cap)
+            return cls._parse_json(stripped)
+        return cls._parse_edge_list(text)
 
     @staticmethod
-    def _check_cap(n: int, cap: int) -> None:
-        if n > cap:
-            raise GraphFormatError(f"n={n} exceeds the vertex cap {cap}")
+    def _check_cap(n: int) -> None:
+        if n > DEFAULT_VERTEX_CAP:
+            raise GraphFormatError(
+                f"n={n} exceeds the vertex cap {DEFAULT_VERTEX_CAP}"
+            )
 
     @classmethod
-    def _parse_json(cls, text: str, cap: int) -> Graph:
+    def _parse_json(cls, text: str) -> Graph:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -222,7 +232,7 @@ class Graph:
             raise GraphFormatError('JSON graph needs fields "n" and "edges"')
         try:
             n = int(doc["n"])
-            cls._check_cap(n, cap)
+            cls._check_cap(n)
             return cls(n, [(int(i), int(j)) for i, j in doc["edges"]])
         except GraphFormatError:
             raise
@@ -230,7 +240,7 @@ class Graph:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
 
     @classmethod
-    def _parse_edge_list(cls, text: str, cap: int) -> Graph:
+    def _parse_edge_list(cls, text: str) -> Graph:
         n = None
         edges = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -248,7 +258,7 @@ class Graph:
                     raise GraphFormatError(
                         f"line {lineno}: bad vertex count {line[2:]!r}"
                     ) from exc
-                cls._check_cap(n, cap)
+                cls._check_cap(n)
                 continue
             parts = line.split()
             if len(parts) != 2:

@@ -454,20 +454,19 @@ def max_tolerable_loss(
     candidates: frozenset[int],
     semantics: str = "best-case",
     bound: str = "induced",
-    budget: int = SUBSET_BUDGET,
 ) -> MaxLossResult:
     """Largest tolerable loss size under the chosen semantics.
 
     best-case: the largest k for which SOME size-k candidate subset still
     leaves a violating root.  worst-case: the largest k for which EVERY
     size-k subset does.  All sizes are enumerated (tolerance need not be
-    monotone in k), within the subset budget.
+    monotone in k), within `SUBSET_BUDGET`.
     """
     if semantics not in ("best-case", "worst-case"):
         raise ValueError(
             f'semantics must be "best-case" or "worst-case", got {semantics!r}'
         )
-    rows = loss_size_sweep(g, candidates, bound=bound, budget=budget)
+    rows = loss_size_sweep(g, candidates, bound=bound)
     if semantics == "best-case":
         good = [row.size for row in rows if row.any_violates]
     else:
@@ -491,14 +490,14 @@ def critical_sets(
     g: Graph,
     max_size: int,
     bound: str = "induced",
-    budget: int = SUBSET_BUDGET,
 ) -> list[frozenset[int]]:
     """Inclusion-minimal loss sets of size <= max_size that leave no
-    violating root under the chosen bound, by size and then lexicographic."""
+    violating root under the chosen bound, by size and then lexicographic,
+    within `SUBSET_BUDGET`."""
     if bound not in ("full", "induced"):
         raise ValueError(f'bound must be "full" or "induced", got {bound!r}')
     sizes = list(range(1, min(max_size, g.n - 1) + 1))
-    _check_budget(g.n, sizes, budget)
+    _check_budget(g.n, sizes, SUBSET_BUDGET)
     if not sizes:
         return []
     verdict = _verdict(g, bound)

@@ -261,8 +261,21 @@ class TestGenericOperator:
         reference = stabilizer_sum_matrix(bell_stabilizer_sum(star6, 0))
         assert np.max(np.abs(dense - reference)) > 1e-6
 
-    def test_size_cap(self, star6):
+    def test_size_cap(self, monkeypatch):
         from lossbell import SizeCapExceededError
+        from lossbell.graphs import DENSE_OPERATOR_CAP, STATE_BYTE_BUDGET
 
-        with pytest.raises(SizeCapExceededError):
-            generic_bell_operator(star6, 0, MeasurementSetting.ideal(star6, 0), cap=5)
+        # the result and two full-size temporaries fit the byte budget
+        assert 3 * 16 * 4**DENSE_OPERATOR_CAP <= STATE_BYTE_BUDGET
+        assert 3 * 16 * 4 ** (DENSE_OPERATOR_CAP + 1) > STATE_BYTE_BUDGET
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator allocated before the cap check")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        g = generate(FamilySpec("star", DENSE_OPERATOR_CAP + 1))
+        message = f"n={g.n} exceeds dense-operator cap {DENSE_OPERATOR_CAP}"
+        with pytest.raises(SizeCapExceededError, match=message):
+            generic_bell_operator(g, 0, MeasurementSetting.ideal(g, 0))
+        with pytest.raises(SizeCapExceededError, match=message):
+            stabilizer_sum_matrix(bell_stabilizer_sum(g, 0))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lossbell import oracle
-from lossbell.cli import main, parse_distribution
+from lossbell.cli import MAX_GRID_POINTS, main, parse_distribution
 from lossbell.errors import DistributionError
+from lossbell.families import KINDS
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -120,6 +125,15 @@ class TestAnalyze:
         )
         assert_usage_error(code, out, err)
         assert "--count must be at least 0, got -1" in err
+
+    @pytest.mark.parametrize("count", ["-5", "0", "2"])
+    def test_count_needs_leaves_of_root(self, capsys, count):
+        code, out, err = run(
+            capsys, "analyze", "--family", "star", "--n", "6", "--lose", "1",
+            "--count", count,
+        )
+        assert_usage_error(code, out, err)
+        assert err == "error: --count needs --lose-leaves-of-root\n"
 
     def test_table_matches_structured_decimals(self, capsys):
         args = ("analyze", "--family", "dense-center", "--n", "12", "--lose", "7,8")
@@ -343,6 +357,14 @@ class TestVerify:
         assert code == 2
         assert "cap" in err
 
+    def test_takes_no_format(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "star", "--n", "6", "--format", "jsonl"
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --format jsonl" in err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # an impossible tolerance turns harmless float noise into a failure
         import lossbell.oracle as oracle_mod
@@ -424,6 +446,34 @@ class TestMixture:
             capsys, "mixture", "--family", "star", "--n", "6", "--p-max", p_max
         ))
 
+    def test_grid_points_over_the_cap(self, capsys):
+        code, out, err = run(
+            capsys, "mixture", "--family", "star", "--n", "6",
+            "--grid-points", str(MAX_GRID_POINTS + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --grid-points {MAX_GRID_POINTS + 1} "
+                       f"exceeds the cap {MAX_GRID_POINTS}\n")
+
+    @pytest.mark.parametrize("grid_options", [
+        ("--grid-points", "0", "--p-max", "abc", "--leaves-only"),
+        ("--grid-points", "20"),
+        ("--p-max", "1/4"),
+        ("--candidates", "6,7"),
+    ])
+    def test_distribution_takes_no_grid_options(self, capsys, tmp_path,
+                                                grid_options):
+        path = tmp_path / "dist.txt"
+        path.write_text("9/10 :\n1/20 : 6\n1/20 : 7\n")
+        code, out, err = run(
+            capsys, "mixture", "--family", "dense-center", "--n", "12",
+            "--dist", str(path), *grid_options,
+        )
+        assert_usage_error(code, out, err)
+        flags = [arg for arg in grid_options if arg.startswith("--")]
+        assert err == f"error: --dist takes no grid options: {', '.join(flags)}\n"
+
 
 class TestDistributionParser:
     def test_comments_and_empty_set(self):
@@ -491,3 +541,88 @@ class TestStartup:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# -- argv fuzzing: small graphs and small counts, so that every run is cheap --
+
+_vertex = st.integers(-1, 9)
+_vertex_lists = st.one_of(
+    st.lists(_vertex, max_size=4).map(lambda vs: ",".join(map(str, vs))),
+    st.sampled_from(["a", "1,,2", " "]),
+)
+_small = st.integers(-1, 8).map(str)
+_OPTIONS = {
+    "analyze": {
+        "--lose": _vertex_lists,
+        "--lose-leaves-of-root": _vertex.map(str),
+        "--count": st.integers(-2, 8).map(str),
+    },
+    "sweep": {
+        "--candidates": _vertex_lists,
+        "--leaves-only": st.none(),
+        "--bound": st.sampled_from(["full", "induced", "other"]),
+        "--max-size": _small,
+        "--budget": st.integers(0, 300).map(str),
+    },
+    "verify": {
+        "--random": st.integers(0, 2).map(str),
+        "--max-loss": st.integers(-1, 3).map(str),
+        "--loss-size": st.integers(-1, 3).map(str),
+        "--seed": st.integers(0, 5).map(str),
+        "--cap": st.integers(0, 30).map(str),
+        "--replacement-invariance": st.none(),
+    },
+    "mixture": {
+        "--root": _vertex.map(str),
+        "--hypothesis": _vertex_lists,
+        "--candidates": _vertex_lists,
+        "--leaves-only": st.none(),
+        "--grid-points": st.integers(-1, 50).map(str),
+        "--p-max": st.sampled_from(["1/4", "2", "0", "-1/3", "1/0", "abc"]),
+    },
+    "family": {
+        "--emit-format": st.sampled_from(["json", "edges"]),
+    },
+}
+
+
+@st.composite
+def _argvs(draw, dist_path: str) -> list[str]:
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "family":
+        argv.append(draw(st.sampled_from(["list", "emit"])))
+    if draw(st.integers(0, 3)):  # mostly a valid graph
+        argv += ["--family", draw(st.sampled_from(KINDS)),
+                 "--n", str(draw(st.integers(3, 8)))]
+    else:
+        argv += draw(st.sampled_from([[], ["--family", "star"], ["--n", "5"]]))
+        argv += draw(st.sampled_from([[], ["--n", "-1"], ["--n", "1"]]))
+    options = dict(_OPTIONS[command])
+    if command != "family":
+        options["--format"] = st.sampled_from(["table", "jsonl"])
+    if command == "mixture":
+        options["--dist"] = st.sampled_from([dist_path, dist_path + ".missing"])
+    flags = st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True)
+    for flag in draw(flags):
+        value = draw(options[flag])
+        argv += [flag] if value is None else [flag, value]
+    if command == "verify":
+        argv += ["--max-sets", draw(st.integers(0, 20).map(str))]
+    return argv
+
+
+class TestArgvFuzz:
+    def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path):
+        dist = tmp_path / "dist.txt"
+        dist.write_text("1/2 :\n1/4 : 1\n1/4 : 2,3\n")
+
+        @given(_argvs(str(dist)))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err.getvalue()
+
+        check()

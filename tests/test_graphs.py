@@ -258,13 +258,15 @@ class TestTextFormats:
             Graph.parse('{"n": 3}')
 
     def test_vertex_cap(self):
+        cap = lb.graphs.DEFAULT_VERTEX_CAP
+        message = f"n={cap + 1} exceeds the vertex cap {cap}"
         # the header alone is refused, before any edge line is read
-        with pytest.raises(GraphFormatError, match="n=5 exceeds the vertex cap 4"):
-            Graph.parse("n=5\nnot an edge\n", cap=4)
-        with pytest.raises(GraphFormatError, match="n=5 exceeds the vertex cap 4"):
-            Graph.parse('{"n": 5, "edges": [[0, 1]]}', cap=4)
-        assert Graph.parse("n=5\n0 1\n", cap=5) == Graph(5, [(0, 1)])
-        assert Graph.parse('{"n": 5, "edges": [[0, 1]]}', cap=5) == Graph(5, [(0, 1)])
+        with pytest.raises(GraphFormatError, match=message):
+            Graph.parse(f"n={cap + 1}\nnot an edge\n")
+        with pytest.raises(GraphFormatError, match=message):
+            Graph.parse(f'{{"n": {cap + 1}, "edges": [[0, 1]]}}')
+        assert Graph.parse(f"n={cap}\n0 1\n") == Graph(cap, [(0, 1)])
+        assert Graph.parse(f'{{"n": {cap}, "edges": [[0, 1]]}}') == Graph(cap, [(0, 1)])
 
 
 class TestRandomGraphs:
