@@ -51,19 +51,31 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        normalized = set()
+        # any integer type: a numpy n or endpoint would overflow a shift
+        index = operator.index
+        n = index(n)
+        masks = [0] * n
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            normalized.add((min(i, j), max(i, j)))
-        self._n = n
-        self._edges = tuple(sorted(normalized))
-        masks = [0] * n
-        for i, j in self._edges:
+            i = index(i)
+            j = index(j)
             masks[i] |= 1 << j
             masks[j] |= 1 << i
+        # each edge once, ascending: the neighbours above each vertex, so
+        # duplicates and reversed pairs need no set and no sort
+        ordered = []
+        append = ordered.append
+        for i, mask in enumerate(masks):
+            above = mask >> i + 1
+            while above:
+                low = above & -above
+                append((i, i + low.bit_length()))
+                above ^= low
+        self._n = n
+        self._edges = tuple(ordered)
         self._masks = tuple(masks)
         degrees = [mask.bit_count() for mask in masks]
         self._n_max = max(degrees)
@@ -230,10 +242,25 @@ class Graph:
             ) from exc
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise GraphFormatError('JSON graph needs fields "n" and "edges"')
+        # JSON integers only: a float, string or boolean is refused, not cut
+        # down to an int (json.loads gives every JSON integer as an exact int)
         try:
-            n = int(doc["n"])
+            n = doc["n"]
+            if type(n) is not int:
+                raise GraphFormatError(
+                    f"bad graph document: non-integer n {json.dumps(n)}"
+                )
             cls._check_cap(n)
-            return cls(n, [(int(i), int(j)) for i, j in doc["edges"]])
+            edges = []
+            for pair in doc["edges"]:
+                i, j = pair
+                if type(i) is not int or type(j) is not int:
+                    raise GraphFormatError(
+                        "bad graph document: non-integer vertex in edge "
+                        f"{json.dumps(pair)}"
+                    )
+                edges.append((i, j))
+            return cls(n, edges)
         except GraphFormatError:
             raise
         except (TypeError, ValueError) as exc:
@@ -293,11 +320,11 @@ def random_connected_graph(
     n: int, rng: random.Random, extra_edge_prob: float = 0.25
 ) -> Graph:
     """Uniform-ish random connected graph: random tree plus extra edges."""
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    present = set(edges)
+    # parent[v] < v, so the pair (i, j), i < j, is a tree edge iff parent[j] == i
+    parent = [-1] + [rng.randrange(v) for v in range(1, n)]
+    edges = [(parent[v], v) for v in range(1, n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) not in present and rng.random() < extra_edge_prob:
+            if parent[j] != i and rng.random() < extra_edge_prob:
                 edges.append((i, j))
-                present.add((i, j))
     return Graph(n, edges)

@@ -69,6 +69,22 @@ def embed(p: PauliString, positions: tuple[int, ...], n_full: int) -> PauliStrin
     return PauliString(n_full, x, z, p.phase_pow)
 
 
+def normalized_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """Reference: the edge tuple the way `Graph` built it before reading its
+    edges off the adjacency masks -- each pair checked in turn (with the same
+    `ValueError`s), turned into ``(min, max)``, put in a set and sorted."""
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    normalized = set()
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i}")
+        normalized.add((min(i, j), max(i, j)))
+    return tuple(sorted(normalized))
+
+
 DENSE_RHO_CAP = 10
 
 

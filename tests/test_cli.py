@@ -112,6 +112,20 @@ class TestAnalyze:
         assert_usage_error(code, out, err)
         assert "exceeds the vertex cap" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n": 3, "edges": [[0, 1.7]]}', "non-integer vertex in edge [0, 1.7]"),
+        ('{"n": 3.9, "edges": [[0, 1]]}', "non-integer n 3.9"),
+        ('{"n": 3, "edges": [[true, 2]]}', "non-integer vertex in edge [true, 2]"),
+        ('{"n": 3, "edges": [["0", 1]]}', 'non-integer vertex in edge ["0", 1]'),
+    ], ids=["float-vertex", "float-n", "bool-vertex", "string-vertex"])
+    def test_json_non_integer_refused(self, capsys, tmp_path, doc, message):
+        # a JSON graph takes integers only: none of these is cut down to one
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert_usage_error(code, out, err)
+        assert err == f"error: bad graph document: {message}\n"
+
     def test_out_of_range_hub(self, capsys):
         assert_usage_error(*run(
             capsys, "analyze", "--family", "star", "--n", "6",

@@ -36,6 +36,15 @@ class TestGenerate:
             1: (7, 8, 9, 10, 11),
         }
 
+    @pytest.mark.parametrize("kind, fingerprint", [
+        ("ring", "5b3c73f174ab"),
+        ("star", "910f3d782ded"),
+        ("two-centered-ghz", "c766280f057d"),
+        ("dense-center", "2431dc867c26"),
+    ])
+    def test_fingerprints_at_256(self, kind, fingerprint):
+        assert generate(FamilySpec(kind, 256)).fingerprint == fingerprint
+
     def test_dense_center_layout(self):
         g = generate(FamilySpec("dense-center", 12))
         assert g.n == 12

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lossbell as lb
-from conftest import graphs
+from conftest import graphs, normalized_edges
 from lossbell import Graph, GraphFormatError, random_connected_graph
 from lossbell.bell import bell_weights
 
@@ -236,6 +237,78 @@ class TestConstruction:
         assert g.vertices == frozenset({0, 1, 2}) and g.vertices is g.vertices
         assert g == Graph(3, [(0, 1)]) and hash(g) == hash(Graph(3, [(0, 1)]))
 
+    def test_numpy_endpoints_past_63(self):
+        # a numpy endpoint above 63 must not overflow its vertex's mask
+        g = Graph(70, [(np.int64(0), np.int64(65)), (np.int64(1), np.int64(2)),
+                       (np.int64(66), np.int64(3))])
+        plain = Graph(70, [(0, 65), (1, 2), (66, 3)])
+        assert g.adjacency_masks == plain.adjacency_masks
+        assert g.adjacency_masks[0] == 1 << 65 and g.degree(0) == 1
+        assert g.adjacency_masks[3] == 1 << 66 and g.degree(3) == 1
+        assert all(type(m) is int for m in g.adjacency_masks)
+        assert g.roots == plain.roots == frozenset({0, 1, 2, 3, 65, 66})
+        assert g.edges == ((0, 65), (1, 2), (3, 66))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g.fingerprint == plain.fingerprint
+        assert g == plain and hash(g) == hash(plain)
+        assert g.dumps() == plain.dumps()
+
+    def test_numpy_vertex_count_past_63(self):
+        path = [(i, i + 1) for i in range(69)]
+        g, plain = Graph(np.int64(70), path), Graph(70, path)
+        assert type(g.n) is int and g == plain
+        assert g.is_connected()
+        assert g.survivor_degrees(1) == plain.survivor_degrees(1)
+        assert g.dumps() == plain.dumps()
+
+    @given(st.data())
+    def test_matches_normalize_and_sort(self, data):
+        # the edges read off the masks are the old normalised, sorted set
+        n = data.draw(st.one_of(st.integers(1, 8), st.integers(9, 70)), label="n")
+        vertex = st.integers(0, n - 1)
+        # (i, i + d mod n) with 0 < d < n: never a self-loop; none at n = 1
+        pair = st.tuples(vertex, st.integers(1, max(n - 1, 1))).map(
+            lambda e: (e[0], (e[0] + e[1]) % n)
+        )
+        pairs = data.draw(
+            st.lists(pair, max_size=3 * n if n > 1 else 0), label="pairs"
+        )
+        dupes = data.draw(
+            st.lists(st.sampled_from(pairs), max_size=5) if pairs else st.just([]),
+            label="dupes",
+        )
+        edges = [
+            (j, i) if data.draw(st.booleans(), label="flip") else (i, j)
+            for i, j in pairs + dupes
+        ]
+        edges = data.draw(st.permutations(edges), label="edges")
+        bad = data.draw(st.one_of(
+            st.none(), st.tuples(vertex, st.just(n)), st.tuples(st.just(-1), vertex),
+            vertex.map(lambda v: (v, v)),
+        ), label="bad")
+        if bad is not None:
+            edges.insert(data.draw(st.integers(0, len(edges)), label="at"), bad)
+        try:
+            expected = normalized_edges(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Graph(n, edges)
+            assert str(got.value) == str(exc)
+            return
+        g = Graph(n, iter(edges))
+        assert g.edges == expected
+        masks = [0] * n
+        for i, j in expected:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        assert g.adjacency_masks == tuple(masks)
+        degrees = [m.bit_count() for m in masks]
+        assert g.n_max == max(degrees)
+        assert g.roots == {v for v in range(n) if degrees[v] == max(degrees)}
+        text = f"{n}|{expected}"
+        assert g.fingerprint == hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert g == Graph(n, expected) and hash(g) == hash(Graph(n, expected))
+
 
 class TestTextFormats:
     def test_json_roundtrip(self, two_centered12):
@@ -257,6 +330,16 @@ class TestTextFormats:
         with pytest.raises(GraphFormatError):
             Graph.parse('{"n": 3}')
 
+    @pytest.mark.parametrize("doc", [
+        '{"n": 3, "edges": [[0, 1.7]]}',
+        '{"n": 3.9, "edges": [[0, 1]]}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [["0", 1]]}',
+    ], ids=["float-vertex", "float-n", "bool-vertex", "string-vertex"])
+    def test_json_integers_only(self, doc):
+        with pytest.raises(GraphFormatError, match="non-integer"):
+            Graph.parse(doc)
+
     def test_vertex_cap(self):
         cap = lb.graphs.DEFAULT_VERTEX_CAP
         message = f"n={cap + 1} exceeds the vertex cap {cap}"
@@ -276,3 +359,17 @@ class TestRandomGraphs:
             g2 = random_connected_graph(n, random.Random(11))
             assert g1 == g2
             assert g1.is_connected()
+
+    @pytest.mark.parametrize("n, seed, p, fingerprint", [
+        (1, 0, 0.25, "5f055eabce84"),
+        (2, 0, 0.25, "7e9487f2d851"),
+        (8, 1729, 0.25, "bdc6276b136b"),
+        (12, 7, 0.25, "d1fc35eca66a"),
+        (9, 3, 0.0, "a5b82d422e24"),
+        (9, 3, 1.0, "e2dfdc5eaffa"),
+        (256, 11, 4 / 256, "7e3c66d4eef3"),
+    ])
+    def test_seeds_pin_their_graphs(self, n, seed, p, fingerprint):
+        # the draws keep their order: the same seed gives the same graph
+        g = random_connected_graph(n, random.Random(seed), p)
+        assert g.fingerprint == fingerprint
