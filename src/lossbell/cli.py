@@ -67,15 +67,19 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc))
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
+def _graph_or_spec(args: argparse.Namespace) -> Graph | FamilySpec:
     if getattr(args, "file", None):
-        text = Path(args.file).read_text()
-        return Graph.parse(text)
+        return Graph.parse(Path(args.file).read_text())
     if getattr(args, "family", None):
         if args.n is None:
             raise GraphFormatError("--family needs --n")
-        return generate(FamilySpec(args.family, args.n))
+        return FamilySpec(args.family, args.n)
     raise GraphFormatError("no input graph: pass --file or --family/--n")
+
+
+def _load_graph(args: argparse.Namespace) -> Graph:
+    named = _graph_or_spec(args)
+    return generate(named) if isinstance(named, FamilySpec) else named
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
@@ -262,15 +266,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"qubits and its index vector take over {STATE_BYTE_BUDGET >> 20} MiB"
         )
     rng = random.Random(args.seed)
-    graphs: list[Graph] = []
-    if args.random:
+    count = args.random or 0
+    if count < 0:
+        raise ValueError(f"--random must be at least 0, got {count}")
+    if count:
         if not args.n:
             raise GraphFormatError("--random needs --n")
         if args.n > args.cap:
             raise SizeCapExceededError(f"n={args.n} exceeds statevector cap {args.cap}")
-        graphs += [random_connected_graph(args.n, rng) for _ in range(args.random)]
-    if args.family or args.file:
-        graphs.append(_load_graph(args))
+        Graph(args.n)  # an --n below 1 is refused here, as drawing would refuse it
+    named = _graph_or_spec(args) if args.family or args.file else None
+    graphs = count + bool(named)
     if not graphs:
         raise GraphFormatError("verify needs --random/--n, --family or --file")
     if args.max_sets < 1:
@@ -279,12 +285,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                       else ("--max-loss", args.max_loss))
     if max_loss < 0:
         raise ValueError(f"{flag} must be at least 0, got {max_loss}")
+    if named and named.n > args.cap:  # checked, like --random's --n, before any build
+        raise SizeCapExceededError(f"n={named.n} exceeds statevector cap {args.cap}")
     identities = ("replacement",) if args.replacement_invariance else (
         "generator/full", "generator/survivor", "bell/full", "bell/survivor")
-    result = VerifyResult()
-    for g in graphs:
-        sets = loss_sets(g.n, max_loss, args.max_sets)
-        check_graph(g, sets, identities, result, cap=args.cap)
+    result, total_sets = VerifyResult(), 0
+    for i in range(graphs):
+        g = (random_connected_graph(args.n, rng) if i < count
+             else generate(named) if isinstance(named, FamilySpec) else named)
+        check_graph(g, loss_sets(g.n, max_loss, args.max_sets), identities, result)
+        total_sets += loss_set_count(g.n, max_loss)
     tally = result.replacement if args.replacement_invariance else max(
         result.generator, result.bell, key=lambda t: t.worst)
     passed = tally.worst <= oracle.EXPECTATION_TOL
@@ -292,12 +302,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"replacement invariance: {tally.checks} checks, all conventions agree: "
               f"{passed}; max spread {tally.worst:.3e}")
     else:
-        print(
-            f"verified {result.generator.checks + result.bell.checks} identities "
-            f"over {len(graphs)} graph(s); max deviation {tally.worst:.3e}; "
-            f"{'PASS' if passed else 'FAIL'}"
-        )
-    total_sets = sum(loss_set_count(g.n, max_loss) for g in graphs)
+        print(f"verified {result.generator.checks + result.bell.checks} identities "
+              f"over {graphs} graph(s); max deviation {tally.worst:.3e}; "
+              f"{'PASS' if passed else 'FAIL'}")
     print(f"checked {result.loss_sets} of {total_sets} loss sets")
     if tally.where is not None:
         kind, fingerprint, loss, vertex = tally.where

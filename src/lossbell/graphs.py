@@ -24,12 +24,12 @@ from .errors import GraphFormatError
 # is allocated per vertex: at the cap the adjacency masks of a graph take at
 # most n*n/8 bytes (12.5 MB), and they grow quadratically beyond it.
 DEFAULT_VERTEX_CAP = 10_000
-# The statevector oracle refuses more vertices than its cap (DEFAULT_STATE_CAP
-# unless raised).  An n-qubit state holds 2**n complex128 amplitudes (16 bytes
-# each) and reads an int64 index vector of the same length (8 bytes each).
-# `verify --cap` refuses a cap whose pair would not fit the budget, before
-# building anything; `apply_pauli`'s temporaries come on top of it.  These live
-# here, not in `oracle`, so that reading them does not load numpy.
+# An n-qubit statevector holds 2**n complex128 amplitudes (16 bytes each) and reads
+# an int64 index vector as long (8 bytes each); `apply_pauli`'s temporaries come on
+# top.  The oracle refuses n above MAX_STATE_CAP, the largest whose pair fits the
+# budget, and keeps one state.  `verify --cap` (default DEFAULT_STATE_CAP, at most
+# MAX_STATE_CAP) refuses a larger graph before drawing, generating or checking
+# anything.  These live here, not in `oracle`, so reading them needs no numpy.
 DEFAULT_STATE_CAP = 14
 STATE_BYTE_BUDGET = 1 << 28
 MAX_STATE_CAP = (STATE_BYTE_BUDGET // (16 + 8)).bit_length() - 1

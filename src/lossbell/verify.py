@@ -13,7 +13,7 @@ from .bell import bell_weights
 from .errors import DegenerateGraphError
 from .graphs import Graph
 from .loss import expectation_after_loss, generator_expectation
-from .oracle import DEFAULT_STATE_CAP, REPLACEMENTS, LossyState
+from .oracle import REPLACEMENTS, LossyState
 from .pauli import stabilizer
 
 IDENTITIES = ("generator/full", "generator/survivor", "generator/intact",
@@ -60,13 +60,11 @@ def _weighted_sum(
     return total
 
 
-def check_graph(
-    g: Graph, sets: Iterable[frozenset[int]], identities: tuple[str, ...],
-    result: VerifyResult | None = None, cap: int = DEFAULT_STATE_CAP,
-) -> VerifyResult:
+def check_graph(g: Graph, sets: Iterable[frozenset[int]], identities: tuple[str, ...],
+                result: VerifyResult | None = None) -> VerifyResult:
     """Check the selected identity kinds on every loss set L of ``sets``,
-    accumulating into ``result`` (a new one if None), on statevectors of at
-    most ``cap`` qubits.
+    accumulating into ``result`` (a new one if None).  The graph's state is
+    built first, so a graph past the oracle's cap is refused before any check.
 
     generator/full, /survivor, /intact: ``generator_expectation`` with
     hypothesis and actual loss ({}, L) for every vertex, (L, L) and (L, {})
@@ -85,13 +83,13 @@ def check_graph(
     on = set(identities)
     if not on <= set(IDENTITIES):
         raise ValueError(f"unknown identity kinds {sorted(on - set(IDENTITIES))}")
+    intact = LossyState(g, frozenset())
     result = VerifyResult() if result is None else result
     gens = [stabilizer(g, i) for i in range(g.n)]
     full_weights = {r: bell_weights(g, r) for r in sorted(g.roots)}
     reads_full = bool(on & {"generator/full", "bell/full", "replacement"})
     reads_cut = bool(on & {"generator/survivor", "generator/intact", "bell/survivor"})
     bells = on & {"bell/full", "bell/survivor"}
-    intact = LossyState(g, frozenset(), cap)
     for lost in sets:
         result.loss_sets += 1
         lossy = intact.with_loss(lost)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from lossbell import oracle
 from lossbell.cli import MAX_GRID_POINTS, main, parse_distribution
 from lossbell.errors import DistributionError
 from lossbell.families import KINDS
+from lossbell.graphs import STATE_BYTE_BUDGET, Graph, random_connected_graph
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -323,6 +325,100 @@ class TestVerify:
         assert out == ""
         assert err == "error: n=1500 exceeds statevector cap 14\n"
 
+    @pytest.mark.parametrize("extra,code,message", [
+        ((), 2, "n=4000 exceeds statevector cap 14"),
+        (("--max-sets", "0"), 1, "--max-sets must be at least 1, got 0"),
+    ], ids=["refused", "flags-first"])
+    def test_family_size_is_checked_before_generating(
+            self, capsys, monkeypatch, extra, code, message):
+        import lossbell.cli as cli_mod
+
+        def refuse(spec):
+            raise AssertionError("family graph generated before the size check")
+
+        monkeypatch.setattr(cli_mod, "generate", refuse)
+        argv = ("verify", "--family", "dense-center", "--n", "4000", *extra)
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    def test_file_size_is_checked_before_drawing(self, capsys, monkeypatch, tmp_path):
+        import lossbell.cli as cli_mod
+
+        def refuse(n, rng):
+            raise AssertionError("random graph drawn before the file's size check")
+
+        monkeypatch.setattr(cli_mod, "random_connected_graph", refuse)
+        path = tmp_path / "ring15.graph"
+        path.write_text("n=15\n" + "".join(f"{i} {(i + 1) % 15}\n" for i in range(15)))
+        argv = ("verify", "--random", "2", "--n", "6", "--file", str(path))
+        assert run(capsys, *argv) == (2, "", "error: n=15 exceeds statevector cap 14\n")
+
+    def test_missing_file_draws_no_graph(self, capsys, monkeypatch, tmp_path):
+        import lossbell.cli as cli_mod
+
+        def refuse(n, rng):
+            raise AssertionError("random graph drawn before the file was read")
+
+        monkeypatch.setattr(cli_mod, "random_connected_graph", refuse)
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(
+            capsys, "verify", "--random", "50000", "--n", "14", "--file", missing
+        )
+        assert_usage_error(code, out, err)
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+    def test_each_random_graph_is_drawn_when_it_is_checked(
+            self, capsys, monkeypatch, tmp_path):
+        import lossbell.cli as cli_mod
+        import lossbell.verify as verify_mod
+
+        true_draw, true_check = random_connected_graph, verify_mod.check_graph
+        draws, checks = [], []
+
+        def draw(n, rng):
+            draws.append(true_draw(n, rng))
+            return draws[-1]
+
+        def check(g, *args, **kwargs):
+            checks.append((g, len(draws)))
+            return true_check(g, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "random_connected_graph", draw)
+        monkeypatch.setattr(verify_mod, "check_graph", check)
+        path = tmp_path / "path4.graph"
+        path.write_text("n=4\n0 1\n1 2\n2 3\n")
+        code, out, _ = run(
+            capsys, "verify", "--random", "3", "--n", "6", "--max-loss", "1",
+            "--seed", "7", "--file", str(path),
+        )
+        assert code == 0
+        # the k-th check comes after exactly k draws, the named graph's after all
+        assert [k for _, k in checks] == [1, 2, 3, 3]
+        rng = random.Random(7)
+        assert [g for g, _ in checks] == [
+            *(true_draw(6, rng) for _ in range(3)), Graph.parse(path.read_text())]
+        assert " over 4 graph(s); " in out.splitlines()[0]
+        assert out.splitlines()[1] == "checked 26 of 26 loss sets"
+
+    def test_negative_random(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--random", "-3", "--n", "8", "--family", "star"
+        )
+        assert_usage_error(code, out, err)
+        assert err == "error: --random must be at least 0, got -3\n"
+
+    def test_zero_random_draws_none(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--random", "0", "--n", "6", "--family", "star",
+            "--max-loss", "1",
+        )
+        assert code == 0
+        assert " over 1 graph(s); " in out.splitlines()[0]
+
+    def test_one_statevector_is_kept(self, capsys):
+        code, _, _ = run(capsys, "verify", "--random", "3", "--n", "8")
+        assert code == 0
+        assert oracle.graph_state.cache_info().currsize == 1
+
     def test_random_graph_under_a_raised_cap(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--random", "1", "--n", "15", "--cap", "16",
@@ -356,7 +452,7 @@ class TestVerify:
 
     def test_cap_at_the_byte_budget(self, capsys):
         assert oracle.MAX_STATE_CAP == 23
-        assert (16 + 8) << 23 <= oracle.STATE_BYTE_BUDGET < (16 + 8) << 24
+        assert (16 + 8) << 23 <= STATE_BYTE_BUDGET < (16 + 8) << 24
         code, out, _ = run(
             capsys, "verify", "--family", "star", "--n", "6", "--cap", "23",
             "--max-loss", "1",
@@ -389,6 +485,25 @@ class TestVerify:
         )
         assert code == 3
         assert "FAIL" in out
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, capsys, monkeypatch, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        commands = [line.split()[1:] for line in block.splitlines()
+                    if line.startswith("lossbell ")]
+        assert commands
+        # the files the examples name: a 7-vertex graph (`--lose 2,5`) and the
+        # README's own distribution example
+        (tmp_path / "g.graph").write_text("n=7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n1 5\n")
+        dist = readme.split("### Distribution files", 1)[1].split("```")[1]
+        (tmp_path / "dist.txt").write_text(dist.lstrip("\n"))
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out, argv
 
 
 class TestMixture:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 from functools import reduce
 from operator import mul
@@ -24,6 +25,7 @@ from lossbell import (
     stabilizer,
 )
 from lossbell.bell import stabilizer_sum_matrix
+from lossbell.graphs import MAX_STATE_CAP
 from lossbell.oracle import (
     EXPECTATION_TOL,
     REPLACEMENTS,
@@ -97,9 +99,23 @@ class TestGraphState:
         for i in range(3):
             assert expectation(amps, stabilizer(star3, i)) == pytest.approx(1.0, abs=1e-10)
 
-    def test_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            graph_state(Graph(5), cap=4)
+    def test_refuses_past_the_byte_budget_before_allocating(self, monkeypatch):
+        import lossbell.oracle as oracle_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("statevector allocated before the size check")
+
+        monkeypatch.setattr(oracle_mod, "_indices", refuse)
+        monkeypatch.setattr(oracle_mod.np, "full", refuse)
+        n = MAX_STATE_CAP + 1
+        with pytest.raises(SizeCapExceededError,
+                           match=f"^n={n} exceeds statevector cap {MAX_STATE_CAP}$"):
+            graph_state(Graph(n))
+
+    def test_the_size_is_not_a_parameter(self):
+        # the byte budget is the oracle's only limit; `verify --cap` is the CLI's
+        for f in (graph_state, LossyState, check_graph):
+            assert "cap" not in inspect.signature(f).parameters, f
 
 
 class TestLossyExpectations:

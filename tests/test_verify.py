@@ -8,9 +8,10 @@ import pytest
 import lossbell.verify as verify_mod
 from conftest import embed
 from lossbell import (
-    FamilySpec, LossyState, bell_stabilizer_sum, generate, random_connected_graph,
-    stabilizer,
+    FamilySpec, LossyState, SizeCapExceededError, bell_stabilizer_sum, generate,
+    random_connected_graph, stabilizer,
 )
+from lossbell.graphs import MAX_STATE_CAP
 from lossbell.oracle import REPLACEMENTS
 from lossbell.verify import (
     IDENTITIES, VerifyResult, check_graph, loss_set_count, loss_sets,
@@ -108,6 +109,16 @@ class TestCheckGraph:
         g = generate(FamilySpec("ring", 5))
         with pytest.raises(ValueError, match="unknown identity"):
             check_graph(g, [frozenset()], ("generator",))
+
+    def test_oversized_graph_is_refused_before_any_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator or weights built before the size check")
+
+        monkeypatch.setattr(verify_mod, "stabilizer", refuse)
+        monkeypatch.setattr(verify_mod, "bell_weights", refuse)
+        g = generate(FamilySpec("ring", MAX_STATE_CAP + 1))
+        with pytest.raises(SizeCapExceededError):
+            check_graph(g, loss_sets(g.n, 1, 10), IDENTITIES)
 
     @staticmethod
     def _plant_fault(monkeypatch):
